@@ -1,30 +1,24 @@
-//! Solver throughput benchmark: compile-once sessions (scalar and batched)
-//! vs the seed per-call path, on a deterministic box schedule per Table I
-//! pair.
+//! Solver throughput benchmark: compile-once sessions vs the seed per-call
+//! path, on a deterministic box schedule per Table I pair.
 //!
 //! ```text
-//! solver_bench [--nodes N] [--depth D] [--batch B] [--out FILE] [--extended] [--spin]
+//! solver_bench [--nodes N] [--depth D] [--out FILE] [--extended] [--spin]
 //! solver_bench --service [--nodes N]     (service cold/warm benchmark only, no JSON)
 //! ```
 //!
 //! For every applicable (functional, condition) pair the PB domain is split
 //! `--depth` times (the verifier's `split(D)` schedule), and each resulting
-//! box is solved with a `--nodes` node budget five ways:
+//! box is solved with a `--nodes` node budget four ways:
 //!
 //! * **session**   — one `CompiledFormula` + one `SolveScratch` shared
-//!   across the whole schedule, scalar DFS;
-//! * **batched**   — the same session with `batch_width = --batch`: the
-//!   frontier engine evaluates up to B boxes per SoA tape pass and
-//!   re-evaluates children dirty-slot-only from their parent's forward
-//!   image. Outcomes are asserted identical to the scalar session, tally
-//!   by tally — the engines run the same search;
+//!   across the whole schedule;
 //! * **recompile** — the scalar tape machinery, recompiled per box
 //!   (isolates the compilation overhead the session removes);
 //! * **seed**      — the original architecture, vendored in
 //!   [`xcv_bench::seed_baseline`]: contractor rebuilt per box over
 //!   hash-mapped `IntervalEnv` storage, branch scoring through the
 //!   allocating recursive evaluator;
-//! * **ladder**    — the batched session with the full contractor
+//! * **ladder**    — the session with the full contractor
 //!   escalation ladder ([`Escalation::full`]): stalled boxes get
 //!   interval-Newton sweeps (rung 1) and 3B slab shaving (rung 2) instead
 //!   of burning the node budget on bisection. Per box, the outcome may
@@ -39,22 +33,21 @@
 //! `BENCH_solver.json`) — the checked-in snapshot tracks the perf
 //! trajectory across PRs.
 //!
-//! The JSON (schema v7; v5 renamed every mode entry's `timeout` count to
+//! The JSON (schema v8; v5 renamed every mode entry's `timeout` count to
 //! `timeouts`, v6 added the `ladder` mode and a top-level `ladder` entry
 //! whose `timeouts` array is the trajectory `[rung 0, ≤ rung 1, ≤ rung 2]`
 //! — the timeout count as each rung of the ladder is enabled over the same
 //! matrix, v7 added the `service` entry: the pinned extended matrix asked
 //! of an in-process `xcv-serve` daemon cold then warm, with the warm pass
-//! asserted mark-identical to an in-process campaign and compile-free)
-//! also carries: a `batched` entry — batch width,
-//! total batched vs scalar-session wall, and a campaign-level TableMark
-//! identity check; a `campaign` entry — the same matrix run as one
-//! [`Campaign`] under matrix-order and under cost-aware scheduling, with
-//! both wall-clocks; and a `cost_model` entry: the log-linear scheduler
-//! cost model **fit by least squares from the matrix-order run's own
-//! recorded per-pair wall-clocks**. The cost-aware run is scheduled by that
-//! fitted model, not the hand weights; `tests/bench_snapshot.rs` pins the
-//! checked-in snapshot (including batched ≤ scalar-session wall).
+//! asserted mark-identical to an in-process campaign and compile-free, v8
+//! dropped the batched engine's mode and entry and times the ladder against
+//! the session) also carries: a `campaign` entry — the same matrix run as
+//! one [`Campaign`] under matrix-order and under cost-aware scheduling,
+//! with both wall-clocks; and a `cost_model` entry: the log-linear
+//! scheduler cost model **fit by least squares from the matrix-order run's
+//! own recorded per-pair wall-clocks**. The cost-aware run is scheduled by
+//! that fitted model, not the hand weights; `tests/bench_snapshot.rs` pins
+//! the checked-in snapshot.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -66,7 +59,6 @@ use xcv_solver::{BoxDomain, DeltaSolver, Escalation, Outcome, SolveBudget, Solve
 struct Opts {
     nodes: u64,
     depth: u32,
-    batch: usize,
     out: String,
     extended: bool,
     spin: bool,
@@ -77,7 +69,6 @@ fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         nodes: 800,
         depth: 2,
-        batch: 8,
         out: "BENCH_solver.json".into(),
         extended: false,
         spin: false,
@@ -93,10 +84,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--depth" => {
                 i += 1;
                 o.depth = args[i].parse().expect("--depth takes an integer");
-            }
-            "--batch" => {
-                i += 1;
-                o.batch = args[i].parse().expect("--batch takes an integer");
             }
             "--out" => {
                 i += 1;
@@ -187,7 +174,6 @@ fn campaign_run(
     nodes: u64,
     schedule: CampaignSchedule,
     model: Option<&CostModel>,
-    batch: Option<usize>,
 ) -> (f64, CampaignReport) {
     let config = VerifierConfig {
         split_threshold: 0.625,
@@ -206,9 +192,6 @@ fn campaign_run(
         .schedule(schedule);
     if let Some(m) = model {
         builder = builder.cost_model(m.clone());
-    }
-    if let Some(w) = batch {
-        builder = builder.batch_width(w);
     }
     let campaign = builder.build().expect("registry is non-empty");
     let t0 = Instant::now();
@@ -235,7 +218,7 @@ fn service_bench(nodes: u64) -> String {
         split_threshold: 0.625,
         max_depth: 2,
     };
-    let (_, reference) = campaign_run(&registry, nodes, CampaignSchedule::MatrixOrder, None, None);
+    let (_, reference) = campaign_run(&registry, nodes, CampaignSchedule::MatrixOrder, None);
     let mut reference_marks: Vec<(String, String, xcv_core::TableMark)> = reference
         .pairs
         .iter()
@@ -330,28 +313,25 @@ fn main() {
         (Encoder::encode_all(), Registry::builtin())
     };
     let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(opts.nodes));
-    let batched_solver = solver.clone().with_batch_width(opts.batch);
-    // The two ladder stops share the batched engine: rung 1 (Newton only)
-    // exists solely to attribute the timeout trajectory per rung.
-    let rung1_solver = batched_solver.clone().with_escalation(Escalation {
+    // Rung 1 (Newton only) exists solely to attribute the timeout
+    // trajectory per rung.
+    let rung1_solver = solver.clone().with_escalation(Escalation {
         max_rung: 1,
         ..Escalation::full()
     });
-    let ladder_solver = batched_solver.clone().with_escalation(Escalation::full());
+    let ladder_solver = solver.clone().with_escalation(Escalation::full());
     println!(
-        "== solver_bench: {} pairs, split depth {}, {} nodes/box, batch width {} ==",
+        "== solver_bench: {} pairs, split depth {}, {} nodes/box ==",
         problems.len(),
         opts.depth,
         opts.nodes,
-        opts.batch
     );
     println!(
-        "{:<12} {:<28} {:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
+        "{:<12} {:<28} {:>5} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7}",
         "functional",
         "condition",
         "boxes",
         "sess kn/s",
-        "batch kn/s",
         "rcmp kn/s",
         "seed kn/s",
         "ladd kn/s",
@@ -359,7 +339,7 @@ fn main() {
         "t.o. -"
     );
     let mut records = Vec::new();
-    let mut totals = [ModeResult::default(); 5];
+    let mut totals = [ModeResult::default(); 4];
     let mut rung1_timeouts = 0u64;
     let mut resolved_timeouts = 0u64;
     let mut regressed_timeouts = 0u64;
@@ -381,17 +361,6 @@ fn main() {
             session_outcomes.push(outcome);
         }
         session.wall_s = t0.elapsed().as_secs_f64();
-        // Batched mode: same compiled formula and scratch, frontier engine.
-        let _ = batched_solver.solve_compiled(&boxes[0], p.compiled(), &mut scratch);
-        let mut batched = ModeResult::default();
-        let t0 = Instant::now();
-        for b in &boxes {
-            let (outcome, stats) =
-                batched_solver.solve_compiled_with_stats(b, p.compiled(), &mut scratch);
-            batched.nodes += stats.nodes;
-            batched.absorb_outcome(&outcome);
-        }
-        batched.wall_s = t0.elapsed().as_secs_f64();
         // Recompile mode: same tapes, compiled per call.
         let mut recompile = ModeResult::default();
         let t0 = Instant::now();
@@ -410,7 +379,7 @@ fn main() {
             seed.absorb_outcome(&outcome);
         }
         seed.wall_s = t0.elapsed().as_secs_f64();
-        // Ladder mode: the batched session with the full escalation ladder.
+        // Ladder mode: the session with the full escalation ladder.
         // Per box the outcome may cross the Timeout boundary either way and
         // may strengthen a spurious δ-sat into Unsat, but must never
         // regress an Unsat proof (see [`no_unsat_regression`]).
@@ -455,17 +424,10 @@ fn main() {
                 rung1_timeouts += 1;
             }
         }
-        // All compiled modes run the same deterministic search under a pure
-        // node budget: any divergence is a correctness bug, not a benchmark
-        // artifact. The batched engine must even match node for node.
+        // Both compiled modes run the same deterministic search under a
+        // pure node budget: any divergence is a correctness bug, not a
+        // benchmark artifact.
         let counts = |m: &ModeResult| (m.unsat, m.delta_sat, m.timeout);
-        assert_eq!(
-            (session.nodes, counts(&session)),
-            (batched.nodes, counts(&batched)),
-            "batched and scalar sessions diverged on {} / {}",
-            p.functional_name(),
-            p.condition.name()
-        );
         assert_eq!(
             counts(&session),
             counts(&recompile),
@@ -489,16 +451,14 @@ fn main() {
                 p.condition.name()
             );
         }
-        let vs_session = session.wall_s / batched.wall_s.max(1e-12);
         let vs_seed = seed.wall_s / session.wall_s.max(1e-12);
         let vs_recompile = recompile.wall_s / session.wall_s.max(1e-12);
         println!(
-            "{:<12} {:<28} {:>5} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x {:>7}",
+            "{:<12} {:<28} {:>5} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x {:>7}",
             p.functional_name(),
             p.condition.name(),
             boxes.len(),
             session.knodes_per_sec(),
-            batched.knodes_per_sec(),
             recompile.knodes_per_sec(),
             seed.knodes_per_sec(),
             ladder.knodes_per_sec(),
@@ -509,26 +469,20 @@ fn main() {
         let _ = write!(
             rec,
             "    {{\"functional\": \"{}\", \"condition\": \"{}\", \"boxes\": {}, \
-             \"session\": {}, \"batched\": {}, \"recompile\": {}, \"seed\": {}, \
-             \"ladder\": {}, \"speedup_vs_seed\": {:.2}, \"speedup_vs_recompile\": {:.2}, \
-             \"batched_speedup_vs_session\": {:.2}}}",
+             \"session\": {}, \"recompile\": {}, \"seed\": {}, \"ladder\": {}, \
+             \"speedup_vs_seed\": {:.2}, \"speedup_vs_recompile\": {:.2}}}",
             p.functional_name(),
             p.condition.name(),
             boxes.len(),
             json_mode(&session),
-            json_mode(&batched),
             json_mode(&recompile),
             json_mode(&seed),
             json_mode(&ladder),
             vs_seed,
             vs_recompile,
-            vs_session
         );
         records.push(rec);
-        for (t, m) in totals
-            .iter_mut()
-            .zip([session, batched, recompile, seed, ladder])
-        {
+        for (t, m) in totals.iter_mut().zip([session, recompile, seed, ladder]) {
             t.nodes += m.nodes;
             t.unsat += m.unsat;
             t.delta_sat += m.delta_sat;
@@ -544,13 +498,8 @@ fn main() {
     // total work per schedule is identical, so the min is the noise-robust
     // estimator — on a one-core machine the two converge, on many cores
     // cost-aware wins the makespan).
-    let (matrix_s, matrix_report) = campaign_run(
-        &registry,
-        opts.nodes,
-        CampaignSchedule::MatrixOrder,
-        None,
-        None,
-    );
+    let (matrix_s, matrix_report) =
+        campaign_run(&registry, opts.nodes, CampaignSchedule::MatrixOrder, None);
     let model = matrix_report
         .fit_cost_model()
         .expect("matrix cells recorded wall-clocks");
@@ -569,7 +518,6 @@ fn main() {
         opts.nodes,
         CampaignSchedule::CostAware,
         Some(&model),
-        None,
     );
     let matrix_marks: Vec<xcv_core::TableMark> =
         matrix_report.pairs.iter().map(|p| p.mark).collect();
@@ -578,55 +526,29 @@ fn main() {
         matrix_marks, cost_marks,
         "scheduling order changed campaign outcomes"
     );
-    // Batched campaign: identical TableMarks are a hard requirement — the
-    // batch width is pure perf.
-    let (batched_campaign_s, batched_report) = campaign_run(
-        &registry,
-        opts.nodes,
-        CampaignSchedule::CostAware,
-        Some(&model),
-        Some(opts.batch),
-    );
-    let batched_marks: Vec<xcv_core::TableMark> =
-        batched_report.pairs.iter().map(|p| p.mark).collect();
-    assert_eq!(
-        matrix_marks, batched_marks,
-        "batched solving changed campaign outcomes"
-    );
-    let (matrix_s2, _) = campaign_run(
-        &registry,
-        opts.nodes,
-        CampaignSchedule::MatrixOrder,
-        None,
-        None,
-    );
+    let (matrix_s2, _) = campaign_run(&registry, opts.nodes, CampaignSchedule::MatrixOrder, None);
     let (cost_s2, _) = campaign_run(
         &registry,
         opts.nodes,
         CampaignSchedule::CostAware,
         Some(&model),
-        None,
     );
     let matrix_s = matrix_s.min(matrix_s2);
     let cost_s = cost_s.min(cost_s2);
     println!(
-        "campaign ({} cells): matrix-order {:.0} ms, cost-aware (measured model) {:.0} ms ({:.2}x), \
-         batched (width {}) {:.0} ms",
+        "campaign ({} cells): matrix-order {:.0} ms, cost-aware (measured model) {:.0} ms ({:.2}x)",
         matrix_marks.len(),
         matrix_s * 1e3,
         cost_s * 1e3,
         matrix_s / cost_s.max(1e-12),
-        opts.batch,
-        batched_campaign_s * 1e3,
     );
 
-    let [total_session, total_batched, total_recompile, total_seed, total_ladder] = totals;
+    let [total_session, total_recompile, total_seed, total_ladder] = totals;
     let total_vs_seed = total_seed.wall_s / total_session.wall_s.max(1e-12);
-    let batched_vs_session = total_session.wall_s / total_batched.wall_s.max(1e-12);
     println!(
         "ladder: timeouts {} -> {} (rung 1) -> {} (full); {} resolved, {} re-opened \
          (spurious rung-0 delta-sat), {} strengthened (delta-sat -> unsat), 0 unsat \
-         regressions; wall {:.0} ms vs batched {:.0} ms",
+         regressions; wall {:.0} ms vs session {:.0} ms",
         total_session.timeout,
         rung1_timeouts,
         total_ladder.timeout,
@@ -634,37 +556,28 @@ fn main() {
         regressed_timeouts,
         strengthened_decisions,
         total_ladder.wall_s * 1e3,
-        total_batched.wall_s * 1e3,
+        total_session.wall_s * 1e3,
     );
     println!(
-        "total: session {:.1} knodes/s ({:.0} ms), batched {:.1} knodes/s ({:.0} ms, {:.2}x vs \
-         session), recompile {:.1} knodes/s ({:.0} ms), seed {:.1} knodes/s ({:.0} ms) => {:.2}x \
-         vs seed (scalar), {:.2}x (batched)",
+        "total: session {:.1} knodes/s ({:.0} ms), recompile {:.1} knodes/s ({:.0} ms), seed \
+         {:.1} knodes/s ({:.0} ms) => {:.2}x vs seed",
         total_session.knodes_per_sec(),
         total_session.wall_s * 1e3,
-        total_batched.knodes_per_sec(),
-        total_batched.wall_s * 1e3,
-        batched_vs_session,
         total_recompile.knodes_per_sec(),
         total_recompile.wall_s * 1e3,
         total_seed.knodes_per_sec(),
         total_seed.wall_s * 1e3,
         total_vs_seed,
-        total_seed.wall_s / total_batched.wall_s.max(1e-12),
     );
     // The service benchmark runs last: it spins its own in-process daemon
     // and is independent of the per-box modes above.
     let service_json = service_bench(opts.nodes);
     let json = format!(
-        "{{\n  \"schema\": \"xcv-bench-solver/v7\",\n  \"config\": {{\"nodes_per_box\": {}, \
+        "{{\n  \"schema\": \"xcv-bench-solver/v8\",\n  \"config\": {{\"nodes_per_box\": {}, \
          \"split_depth\": {}, \"delta\": 1e-3, \"pairs\": {}}},\n  \"total\": {{\"session\": {}, \
-         \"batched\": {}, \"recompile\": {}, \"seed\": {}, \"ladder\": {}, \
-         \"speedup_vs_seed\": {:.2}}},\n  \
-         \"batched\": {{\"batch_width\": {}, \"wall_ms\": {:.3}, \"session_wall_ms\": {:.3}, \
-         \"speedup_vs_session\": {:.2}, \"campaign_wall_ms\": {:.3}, \"marks_identical\": true, \
-         \"tallies_identical\": true}},\n  \
-         \"ladder\": {{\"escalation\": \"full\", \"batch_width\": {}, \"wall_ms\": {:.3}, \
-         \"batched_wall_ms\": {:.3}, \"timeouts\": [{}, {}, {}], \"resolved_timeouts\": {}, \
+         \"recompile\": {}, \"seed\": {}, \"ladder\": {}, \"speedup_vs_seed\": {:.2}}},\n  \
+         \"ladder\": {{\"escalation\": \"full\", \"wall_ms\": {:.3}, \
+         \"session_wall_ms\": {:.3}, \"timeouts\": [{}, {}, {}], \"resolved_timeouts\": {}, \
          \"regressed_timeouts\": {}, \"strengthened_decisions\": {}, \
          \"unsat_regressions\": 0}},\n  \"campaign\": \
          {{\"cells\": {}, \"matrix_order_wall_ms\": {:.3}, \"cost_aware_wall_ms\": {:.3}, \
@@ -677,19 +590,12 @@ fn main() {
         opts.depth,
         problems.len(),
         json_mode(&total_session),
-        json_mode(&total_batched),
         json_mode(&total_recompile),
         json_mode(&total_seed),
         json_mode(&total_ladder),
         total_vs_seed,
-        opts.batch,
-        total_batched.wall_s * 1e3,
-        total_session.wall_s * 1e3,
-        batched_vs_session,
-        batched_campaign_s * 1e3,
-        opts.batch,
         total_ladder.wall_s * 1e3,
-        total_batched.wall_s * 1e3,
+        total_session.wall_s * 1e3,
         total_session.timeout,
         rung1_timeouts,
         total_ladder.timeout,

@@ -1,11 +1,9 @@
 //! Regression pins on the checked-in `BENCH_solver.json` snapshot (written
-//! by the `solver_bench` binary): schema v7 (per-mode `timeouts` counts,
-//! the escalation-ladder entry and its timeout trajectory, and the
-//! verification-service entry — warm repeat served from cache, marks
-//! identical, zero warm tape compilations), a
-//! persisted measured cost model, the batched-engine guarantee — batched-session wall is faster
-//! than the scalar-session wall *on the snapshot*, with identical tallies
-//! and TableMarks (asserted inside the binary at write time) — and the
+//! by the `solver_bench` binary): schema v8 (per-mode `timeouts` counts,
+//! the escalation-ladder entry with its timeout trajectory and its wall
+//! premium over the session, and the verification-service entry — warm
+//! repeat served from cache, marks identical, zero warm tape
+//! compilations), a persisted measured cost model, and the
 //! scheduling-order guarantee: cost-aware order is never slower than
 //! matrix order by more than 10% on the snapshot (the wall-clocks in the
 //! file are min-of-2 on the machine that produced it; CI re-runs the
@@ -43,9 +41,9 @@ fn number(json: &str, key: &str) -> f64 {
 }
 
 #[test]
-fn snapshot_is_schema_v7_with_a_cost_model() {
+fn snapshot_is_schema_v8_with_a_cost_model() {
     let json = snapshot();
-    assert_eq!(field(&json, "schema"), "\"xcv-bench-solver/v7\"");
+    assert_eq!(field(&json, "schema"), "\"xcv-bench-solver/v8\"");
     let model = &json[json.find("\"cost_model\"").expect("cost_model entry")..];
     assert_eq!(field(model, "kind"), "\"log-linear\"");
     // Four finite weights, a positive sample count, and a sane r².
@@ -65,29 +63,29 @@ fn snapshot_is_schema_v7_with_a_cost_model() {
 fn snapshot_mode_entries_count_timeouts() {
     // v5: every mode entry carries a `timeouts` count (box-level budget
     // exhaustions), so a budget-starved benchmark run is visible in the
-    // snapshot itself. The four rung-0 `total` modes replay the same
+    // snapshot itself. The three rung-0 `total` modes replay the same
     // search, so their timeout tallies must agree exactly — a drift here
-    // means one engine stopped exploring the tree the others explored.
-    // (v6 adds the fifth, `ladder` mode — its tally legitimately differs:
-    // that is the point — and a `"timeouts": [...]` trajectory array,
-    // which the scalar parse below skips.)
+    // means one path stopped exploring the tree the others explored.
+    // (The fourth, `ladder` mode's tally legitimately differs — that is
+    // the point — and the `"timeouts": [...]` trajectory array is skipped
+    // by the scalar parse below.)
     let json = snapshot();
     let totals: Vec<f64> = json
         .match_indices("\"timeouts\":")
         .filter_map(|(i, _)| field(&json[i..], "timeouts").parse().ok())
         .collect();
     assert!(
-        totals.len() >= 5,
+        totals.len() >= 4,
         "expected a timeouts count in each mode entry, found {}",
         totals.len()
     );
     assert!(!json.contains("\"timeout\":"), "v4 singular key resurfaced");
     let session = totals[0];
     assert!(
-        totals[..4].iter().all(|t| *t == session),
+        totals[..3].iter().all(|t| *t == session),
         "mode timeout tallies diverged: {totals:?}"
     );
-    // totals[4] is the ladder mode, pinned separately below.
+    // totals[3] is the ladder mode, pinned separately below.
 }
 
 #[test]
@@ -97,10 +95,10 @@ fn snapshot_ladder_entry_pins_the_timeout_tail() {
     // `[rung 0, rung 1, full ladder]` — the full ladder must cut the
     // rung-0 timeout count (620 at the time of pinning) by at least 170
     // boxes without a single Unsat regression, at no more than a 20%
-    // wall premium over the plain batched session it extends (the
-    // measured point behind `Escalation::full()`'s defaults is 417
-    // timeouts at a 1.10x wall ratio; deeper escalation reaches 399 but
-    // at 1.4x wall — see the depth-cap notes on [`xcv_solver::Escalation`]).
+    // wall premium over the plain session it extends (the measured point
+    // behind `Escalation::full()`'s defaults is 417 timeouts at a 1.10x
+    // wall ratio; deeper escalation reaches 399 but at 1.4x wall — see the
+    // depth-cap notes on [`xcv_solver::Escalation`]).
     let json = snapshot();
     // The top-level ladder entry (per-pair records carry a `"ladder":
     // {"nodes": ...}` sub-object each; only the top-level one leads with
@@ -130,12 +128,12 @@ fn snapshot_ladder_entry_pins_the_timeout_tail() {
     assert_eq!(number(ladder, "unsat_regressions"), 0.0);
     assert!(number(ladder, "resolved_timeouts") >= 200.0);
     let wall = number(ladder, "wall_ms");
-    let batched = number(ladder, "batched_wall_ms");
-    assert!(wall > 0.0 && batched > 0.0);
+    let session = number(ladder, "session_wall_ms");
+    assert!(wall > 0.0 && session > 0.0);
     assert!(
-        wall <= 1.20 * batched,
-        "ladder mode wall premium regressed over the batched session: \
-         {wall:.0} ms vs {batched:.0} ms"
+        wall <= 1.20 * session,
+        "ladder mode wall premium regressed over the session: \
+         {wall:.0} ms vs {session:.0} ms"
     );
     // At least one previously all-timeout row produces decisions now: the
     // rSCAN / Ec-scaling cell was 64 boxes, 64 timeouts at rung 0.
@@ -194,28 +192,6 @@ fn snapshot_cost_model_loads_for_campaign_startup() {
         m.predict(&Dfa::Scan, Condition::UcMonotonicity)
             > m.predict(&Dfa::VwnRpa, Condition::EcNonPositivity)
     );
-}
-
-#[test]
-fn snapshot_batched_entry_pins_batched_not_slower_than_scalar() {
-    // The v4 `batched` entry: the frontier engine ran the same search
-    // (identical tallies and campaign TableMarks are asserted inside
-    // `solver_bench` before the file is written — the flags record that)
-    // and was measurably faster than the scalar session on the snapshot.
-    let json = snapshot();
-    let batched = &json[json.find("\"batched\"").expect("batched entry")..];
-    assert!(number(batched, "batch_width") >= 2.0);
-    let wall = number(batched, "wall_ms");
-    let session = number(batched, "session_wall_ms");
-    assert!(wall > 0.0 && session > 0.0);
-    assert!(
-        wall <= session,
-        "batched regressed below the scalar session on the snapshot: \
-         {wall:.0} ms vs {session:.0} ms"
-    );
-    assert!(number(batched, "speedup_vs_session") >= 1.05);
-    assert_eq!(field(batched, "marks_identical"), "true");
-    assert_eq!(field(batched, "tallies_identical"), "true");
 }
 
 #[test]

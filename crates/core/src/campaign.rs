@@ -324,13 +324,20 @@ fn cost_aware_order(costs: &[f64], workers: usize) -> Vec<usize> {
     buckets.concat()
 }
 
-/// A cell that never encoded, with the reason it was skipped.
-type SkippedCell = (FunctionalHandle, Condition, SkipReason);
-
-/// One scheduled matrix cell: modeled cost plus the encoded problem (or its
-/// skip outcome). Problems sit behind `Arc` so an attached
-/// [`ProblemCache`] can share one compiled instance across campaigns.
-type CampaignCell = (u64, Result<Arc<EncodedProblem>, SkippedCell>);
+/// One scheduled matrix cell: the functional and condition it stands for,
+/// its modeled cost, and the encoded problem (or why it never encoded).
+/// Problems sit behind `Arc` so an attached [`ProblemCache`] can share one
+/// compiled instance across campaigns — which is why the cell keeps its own
+/// handle: a cached problem may have been encoded for a content-identical
+/// functional (BLYP's correlation-only cells are LYP's), so names, events,
+/// checkpoint keys and config lookups come from the cell, never from
+/// `EncodedProblem::functional`.
+struct CampaignCell {
+    functional: FunctionalHandle,
+    condition: Condition,
+    cost: u64,
+    problem: Result<Arc<EncodedProblem>, SkipReason>,
+}
 
 /// Why a pair was not verified.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -408,7 +415,7 @@ pub struct PairOutcome {
     pub region_depths: Option<Vec<u32>>,
     /// The replayable proof certificate, when
     /// [`CampaignBuilder::emit_certificates`] was set and the run was
-    /// replayable (complete scalar HC4 traces, no cancellation).
+    /// replayable (complete HC4 traces, no cancellation).
     pub certificate: Option<Certificate>,
 }
 
@@ -576,28 +583,10 @@ impl CampaignReport {
     }
 }
 
-/// The engine width a cell actually runs at under a campaign-wide
-/// [`CampaignBuilder::batch_width`] override: cells the measured model
-/// predicts as sub-millisecond (`predict` ≈ 1 + wall_ms, so `< 2.0`) are
-/// demoted to the scalar path — the batched frontier only adds dispatch
-/// overhead there. Marks are width-invariant either way
-/// (`tests/solver_batched.rs` pins bit-identity at every width).
-fn effective_batch_width(
-    requested: usize,
-    model: Option<&CostModel>,
-    functional: &dyn xcv_functionals::Functional,
-    condition: Condition,
-) -> usize {
-    match model {
-        Some(m) if m.predict(functional, condition) < 2.0 => 1,
-        _ => requested,
-    }
-}
-
 /// The escalation ladder a cell actually runs with under a campaign-wide
-/// [`CampaignBuilder::escalation`] override: the same sub-millisecond
-/// demotion as [`effective_batch_width`] — cells the measured model says
-/// never stall gain nothing from rung 1/2 machinery, so they keep the plain
+/// [`CampaignBuilder::escalation`] override: cells the measured model
+/// predicts as sub-millisecond (`predict` ≈ 1 + wall_ms, so `< 2.0`) never
+/// stall and gain nothing from rung 1/2 machinery, so they keep the plain
 /// HC4 path. Ladder rungs only ever tighten or prune, so marks stay
 /// unchanged-or-better either way (pinned by the ladder bench suites).
 fn effective_escalation(
@@ -698,7 +687,6 @@ pub struct CampaignBuilder {
     global_budget_ms: Option<u64>,
     schedule: CampaignSchedule,
     cost_model: Option<CostModel>,
-    batch_width: Option<usize>,
     escalation: Option<xcv_solver::Escalation>,
     budget_escalation: Option<(f64, u32)>,
     problem_cache: Option<Arc<ProblemCache>>,
@@ -788,16 +776,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Solver frontier batch width for every pair (overrides whatever the
-    /// base config or the config policy set): how many boxes each
-    /// branch-and-prune tape pass evaluates at once. Outcomes and marks are
-    /// identical at any width — this knob only trades per-box overhead for
-    /// batched instruction dispatch and dirty-slot child re-evaluation.
-    pub fn batch_width(mut self, width: usize) -> Self {
-        self.batch_width = Some(width.max(1));
-        self
-    }
-
     /// Contractor escalation ladder for every pair (overrides whatever the
     /// base config or the config policy set): boxes whose HC4 contraction
     /// stalls escalate to interval-Newton (rung 1) and 3B slab shaving
@@ -843,10 +821,8 @@ impl CampaignBuilder {
     /// Record a solver trace for every verified leaf and attach a
     /// replayable [`Certificate`] to each completed pair (write them out
     /// with [`CampaignReport::write_certificates`]; audit with the
-    /// standalone `xcvcheck` binary). Traced pairs solve on the scalar
-    /// path — frontier batching is disabled for them — and every
-    /// certificate is replayed through `xcv_cert::check` before being
-    /// attached.
+    /// standalone `xcvcheck` binary). Every certificate is replayed
+    /// through `xcv_cert::check` before being attached.
     pub fn emit_certificates(mut self, on: bool) -> Self {
         self.emit_certificates = on;
         self
@@ -941,7 +917,6 @@ impl CampaignBuilder {
             global_budget_ms: self.global_budget_ms,
             schedule: self.schedule,
             cost_model: self.cost_model,
-            batch_width: self.batch_width,
             escalation: self.escalation,
             budget_escalation: self.budget_escalation,
             problem_cache: self.problem_cache,
@@ -964,7 +939,6 @@ pub struct Campaign {
     global_budget_ms: Option<u64>,
     schedule: CampaignSchedule,
     cost_model: Option<CostModel>,
-    batch_width: Option<usize>,
     escalation: Option<xcv_solver::Escalation>,
     budget_escalation: Option<(f64, u32)>,
     problem_cache: Option<Arc<ProblemCache>>,
@@ -986,7 +960,6 @@ impl Campaign {
             global_budget_ms: None,
             schedule: CampaignSchedule::default(),
             cost_model: None,
-            batch_width: None,
             escalation: None,
             budget_escalation: None,
             problem_cache: None,
@@ -1026,26 +999,27 @@ impl Campaign {
             .iter()
             .flat_map(|f| {
                 self.conditions.iter().map(move |&cond| {
-                    let cost = pair_cost(f.as_ref(), cond);
                     // An attached problem cache short-circuits encode + tape
                     // compilation for content-identical pairs; without one,
                     // encode fresh as before.
-                    let cell = match &self.problem_cache {
+                    let problem = match &self.problem_cache {
                         Some(cache) => cache.encode(f, cond),
                         None => Encoder::encode(f, cond).map(Arc::new),
                     }
-                    .map_err(|e| {
-                        // A genuine `−` cell vs. a defective functional
-                        // (e.g. metadata promises an exchange part the
-                        // implementation lacks): the latter must not render
-                        // as a legitimate "not applicable".
-                        let reason = match e {
-                            XcvError::NotApplicable { .. } => SkipReason::NotApplicable,
-                            _ => SkipReason::EncodeFailed,
-                        };
-                        (Arc::clone(f), cond, reason)
+                    // A genuine `−` cell vs. a defective functional (e.g.
+                    // metadata promises an exchange part the implementation
+                    // lacks): the latter must not render as a legitimate
+                    // "not applicable".
+                    .map_err(|e| match e {
+                        XcvError::NotApplicable { .. } => SkipReason::NotApplicable,
+                        _ => SkipReason::EncodeFailed,
                     });
-                    (cost, cell)
+                    CampaignCell {
+                        functional: Arc::clone(f),
+                        condition: cond,
+                        cost: pair_cost(f.as_ref(), cond),
+                        problem,
+                    }
                 })
             })
             .collect();
@@ -1054,11 +1028,7 @@ impl Campaign {
         let owner: Option<Vec<Option<usize>>> = self.shard.map(|(_, of)| {
             let costs: Vec<Option<f64>> = cells
                 .iter()
-                .map(|(cost, cell)| match (cell, &self.cost_model) {
-                    (Err(_), _) => None,
-                    (Ok(p), Some(m)) => Some(m.predict(p.functional.as_ref(), p.condition)),
-                    (Ok(_), None) => Some(*cost as f64),
-                })
+                .map(|c| c.problem.is_ok().then(|| self.modeled_cost(c)))
                 .collect();
             shard_assignment(&costs, of)
         });
@@ -1108,12 +1078,10 @@ impl Campaign {
                 let costs: Vec<f64> = cells
                     .iter()
                     // Skip cells solve nothing; keep them out of the load
-                    // balance. A measured model, when attached, replaces the
-                    // hand-weighted ranking.
-                    .map(|(cost, cell)| match (cell, &self.cost_model) {
-                        (Err(_), _) => 0.0,
-                        (Ok(p), Some(m)) => m.predict(p.functional.as_ref(), p.condition),
-                        (Ok(_), None) => *cost as f64,
+                    // balance.
+                    .map(|c| match c.problem {
+                        Err(_) => 0.0,
+                        Ok(_) => self.modeled_cost(c),
                     })
                     .collect();
                 let workers = std::thread::available_parallelism()
@@ -1126,62 +1094,19 @@ impl Campaign {
             order.iter().map(|&i| (i, &cells[i])).collect();
         let mut indexed: Vec<(usize, PairOutcome)> = scheduled
             .par_iter()
-            .map(|&(i, (cost, cell))| {
-                let outcome = match cell {
-                    Err((f, cond, reason)) => {
-                        self.emit(CampaignEvent::PairSkipped {
-                            functional: f.name(),
-                            condition: *cond,
-                            reason: *reason,
-                        });
-                        PairOutcome {
-                            functional: Arc::clone(f),
-                            condition: *cond,
-                            mark: match reason {
-                                SkipReason::NotApplicable => TableMark::NotApplicable,
-                                _ => TableMark::Unknown,
-                            },
-                            map: None,
-                            wall_ms: 0,
-                            skipped: Some(*reason),
-                            cost: *cost,
-                            stats: None,
-                            region_depths: None,
-                            certificate: None,
-                        }
-                    }
+            .map(|&(i, cell)| {
+                let outcome = match &cell.problem {
+                    Err(reason) => self.skip(cell, *reason),
                     Ok(problem) => {
                         let not_mine = match (self.shard, owner.as_ref()) {
                             (Some((mine, _)), Some(own)) => own[i] != Some(mine),
                             _ => false,
                         };
                         if not_mine {
-                            self.emit(CampaignEvent::PairSkipped {
-                                functional: problem.functional.name(),
-                                condition: problem.condition,
-                                reason: SkipReason::OtherShard,
-                            });
-                            PairOutcome {
-                                functional: Arc::clone(&problem.functional),
-                                condition: problem.condition,
-                                mark: TableMark::Unknown,
-                                map: None,
-                                wall_ms: 0,
-                                skipped: Some(SkipReason::OtherShard),
-                                cost: *cost,
-                                stats: None,
-                                region_depths: None,
-                                certificate: None,
-                            }
+                            self.skip(cell, SkipReason::OtherShard)
                         } else {
-                            let key = (
-                                problem.functional.name().to_ascii_lowercase(),
-                                problem.condition,
-                            );
-                            let out = PairOutcome {
-                                cost: *cost,
-                                ..self.run_pair(problem.as_ref(), start, restored.get(&key), 1.0)
-                            };
+                            let key = (cell.functional.name().to_ascii_lowercase(), cell.condition);
+                            let out = self.run_pair(cell, problem, start, restored.get(&key), 1.0);
                             self.persist(&out, store.as_ref(), key);
                             out
                         }
@@ -1216,16 +1141,11 @@ impl Campaign {
                 let retried: Vec<(usize, PairOutcome)> = retriable
                     .par_iter()
                     .map(|&i| {
-                        let p = &pairs[i];
-                        let problem = match &cells[i].1 {
-                            Ok(problem) => problem,
-                            Err(_) => unreachable!("retriable cells ran, so they encoded"),
+                        let cell = &cells[i];
+                        let Ok(problem) = &cell.problem else {
+                            unreachable!("retriable cells ran, so they encoded")
                         };
-                        let out = PairOutcome {
-                            cost: p.cost,
-                            ..self.run_pair(problem.as_ref(), start, None, scale)
-                        };
-                        (i, out)
+                        (i, self.run_pair(cell, problem, start, None, scale))
                     })
                     .collect();
                 for (i, out) in retried {
@@ -1245,61 +1165,78 @@ impl Campaign {
         }
     }
 
-    /// One pair's verification; `budget_scale` multiplies the per-box
-    /// node/time budgets and the pair deadline (1.0 on the primary pass;
-    /// `factor^round` on budget-escalation retries).
+    /// A cell's modeled cost: the measured [`CostModel`]'s prediction when
+    /// one is attached, else the hand-weighted [`pair_cost`].
+    fn modeled_cost(&self, cell: &CampaignCell) -> f64 {
+        match &self.cost_model {
+            Some(m) => m.predict(cell.functional.as_ref(), cell.condition),
+            None => cell.cost as f64,
+        }
+    }
+
+    /// Report a cell that does not run: emit its `PairSkipped` event and
+    /// return its outcome (`−` for inapplicable cells, `?` otherwise).
+    fn skip(&self, cell: &CampaignCell, reason: SkipReason) -> PairOutcome {
+        self.emit(CampaignEvent::PairSkipped {
+            functional: cell.functional.name(),
+            condition: cell.condition,
+            reason,
+        });
+        PairOutcome {
+            functional: Arc::clone(&cell.functional),
+            condition: cell.condition,
+            mark: match reason {
+                SkipReason::NotApplicable => TableMark::NotApplicable,
+                _ => TableMark::Unknown,
+            },
+            map: None,
+            wall_ms: 0,
+            skipped: Some(reason),
+            cost: cell.cost,
+            stats: None,
+            region_depths: None,
+            certificate: None,
+        }
+    }
+
+    /// One pair's verification: `cell` names the pair, `problem` is what it
+    /// solves. `budget_scale` multiplies the per-box node/time budgets and
+    /// the pair deadline (1.0 on the primary pass; `factor^round` on
+    /// budget-escalation retries).
     fn run_pair(
         &self,
+        cell: &CampaignCell,
         problem: &EncodedProblem,
         start: Instant,
         prior: Option<&CheckpointCell>,
         budget_scale: f64,
     ) -> PairOutcome {
-        let name = problem.functional.name();
-        let cond = problem.condition;
-        let skip = |reason| {
-            self.emit(CampaignEvent::PairSkipped {
-                functional: name.clone(),
-                condition: cond,
-                reason,
-            });
-            PairOutcome {
-                functional: Arc::clone(&problem.functional),
-                condition: cond,
-                mark: TableMark::Unknown,
-                map: None,
-                wall_ms: 0,
-                skipped: Some(reason),
-                cost: 0,
-                stats: None,
-                region_depths: None,
-                certificate: None,
-            }
-        };
+        let name = cell.functional.name();
+        let cond = cell.condition;
         // A completed checkpointed cell is restored verbatim — no events,
         // no re-solving, identical mark and statistics.
         if let Some(rec) = prior.filter(|r| r.complete()) {
             let (regions, depths): (Vec<_>, Vec<_>) = rec.to_regions().into_iter().unzip();
             let map = RegionMap::new(problem.domain.clone(), regions);
             return PairOutcome {
-                functional: Arc::clone(&problem.functional),
+                functional: Arc::clone(&cell.functional),
                 condition: cond,
                 mark: map.table_mark(),
                 map: Some(map),
                 wall_ms: rec.wall_ms,
                 skipped: None,
-                cost: 0,
+                cost: cell.cost,
                 stats: Some(rec.stats),
                 region_depths: Some(depths),
                 certificate: None,
             };
         }
         if self.cancel.is_cancelled() {
-            return skip(SkipReason::Cancelled);
+            return self.skip(cell, SkipReason::Cancelled);
         }
         let remaining = self.remaining_ms(start);
         if remaining == Some(0) {
-            return skip(SkipReason::BudgetExhausted);
+            return self.skip(cell, SkipReason::BudgetExhausted);
         }
         self.emit(CampaignEvent::PairStarted {
             functional: name.clone(),
@@ -1315,7 +1252,7 @@ impl Campaign {
         }
         // Per-pair deadline, clamped to what is left of the global budget.
         let mut config = match &self.config_policy {
-            Some(policy) => policy(problem.functional.as_ref(), cond),
+            Some(policy) => policy(cell.functional.as_ref(), cond),
             None => self.config.clone(),
         };
         if budget_scale != 1.0 {
@@ -1334,27 +1271,13 @@ impl Campaign {
             (Some(p), Some(r)) => Some(p.min(r)),
             (p, r) => p.or(r),
         };
-        if let Some(w) = self.batch_width {
-            config.solver.batch_width = effective_batch_width(
-                w,
-                self.cost_model.as_ref(),
-                problem.functional.as_ref(),
-                cond,
-            );
-        }
         if let Some(esc) = self.escalation {
             config.solver.escalation = effective_escalation(
                 esc,
                 self.cost_model.as_ref(),
-                problem.functional.as_ref(),
+                cell.functional.as_ref(),
                 cond,
             );
-        }
-        if self.emit_certificates {
-            // Traced solves run the scalar engine (the escalation ladder,
-            // when enabled, stays on — its steps are replayable); keep the
-            // recorded config truthful about what actually executed.
-            config.solver.batch_width = 1;
         }
         let opts = RunOptions {
             cancel: Some(self.cancel.clone()),
@@ -1409,7 +1332,10 @@ impl Campaign {
         // a certificate; uninterrupted traced runs build (and pre-replay)
         // one.
         let certificate = if self.emit_certificates && !resumed {
-            build_certificate(problem, &config, &out)
+            build_certificate(problem, &config, &out).map(|c| Certificate {
+                functional: name.clone(),
+                ..c
+            })
         } else {
             None
         };
@@ -1445,13 +1371,13 @@ impl Campaign {
             });
         }
         PairOutcome {
-            functional: Arc::clone(&problem.functional),
+            functional: Arc::clone(&cell.functional),
             condition: cond,
             mark,
             map: Some(map),
             wall_ms,
             skipped: interrupted.then_some(SkipReason::Cancelled),
-            cost: 0,
+            cost: cell.cost,
             stats: Some(stats),
             region_depths: Some(details.iter().map(|d| d.depth).collect()),
             certificate,
@@ -1622,32 +1548,48 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_marks_match_scalar() {
-        // The batch-width knob must be pure perf: identical marks cell by
-        // cell, at any width.
-        let run = |width: Option<usize>| {
-            let mut b = Campaign::builder()
-                .functionals([Dfa::VwnRpa, Dfa::Lyp])
-                .conditions([Condition::EcNonPositivity, Condition::EcScaling])
-                .config(quick_config(5_000));
-            if let Some(w) = width {
-                b = b.batch_width(w);
-            }
-            b.build().unwrap().run()
-        };
-        let scalar = run(None);
-        for width in [2, 8] {
-            let batched = run(Some(width));
-            for (a, b) in scalar.pairs.iter().zip(&batched.pairs) {
+    fn cells_keep_their_own_names_behind_a_shared_problem_cache() {
+        // BLYP's correlation-only cells are content-identical to LYP's, so a
+        // cache warmed by LYP hands BLYP the problem LYP encoded. Every name
+        // the campaign emits must still be BLYP's.
+        let registry = Registry::extended();
+        let lyp = registry.get("LYP").unwrap();
+        let blyp = registry.get("BLYP").unwrap();
+        let cache = Arc::new(ProblemCache::new());
+        let warmed = cache.encode(&lyp, Condition::EcNonPositivity).unwrap();
+        let (builder, rx) = Campaign::builder()
+            .functional(Arc::clone(&blyp))
+            .conditions([Condition::EcNonPositivity])
+            .config_policy(|f, _| {
                 assert_eq!(
-                    a.mark,
-                    b.mark,
-                    "width {width}: {} / {}",
-                    a.functional_name(),
-                    a.condition
+                    f.name(),
+                    "BLYP",
+                    "config policy asked for the wrong functional"
                 );
-            }
-        }
+                quick_config(2_000)
+            })
+            .problem_cache(Arc::clone(&cache))
+            .emit_certificates(true)
+            .event_channel();
+        let report = builder.build().unwrap().run();
+        assert_eq!(cache.stats(), (1, 1), "the BLYP cell reused LYP's problem");
+        assert_eq!(warmed.functional_name(), "LYP");
+        let pair = &report.pairs[0];
+        assert_eq!(pair.functional_name(), "BLYP");
+        assert!(report.outcome("BLYP", Condition::EcNonPositivity).is_some());
+        let cert = pair.certificate.as_ref().expect("replayable certificate");
+        assert_eq!(cert.functional, "BLYP");
+        let names: Vec<String> = rx
+            .try_iter()
+            .map(|e| match e {
+                CampaignEvent::PairStarted { functional, .. }
+                | CampaignEvent::CounterexampleFound { functional, .. }
+                | CampaignEvent::PairFinished { functional, .. }
+                | CampaignEvent::PairSkipped { functional, .. } => functional,
+            })
+            .collect();
+        assert!(names.len() >= 2, "started and finished: {names:?}");
+        assert!(names.iter().all(|n| n == "BLYP"), "{names:?}");
     }
 
     #[test]
@@ -1678,28 +1620,29 @@ mod tests {
     }
 
     #[test]
-    fn sub_millisecond_cells_run_the_scalar_engine() {
+    fn sub_millisecond_cells_keep_the_plain_hc4_path() {
         let flat = |c: f64| CostModel {
             weights: [c, 0.0, 0.0, 0.0],
             samples: 45,
             r2: 0.9,
         };
-        // No model attached: the campaign-wide width stands.
+        let full = xcv_solver::Escalation::full();
+        // No model attached: the campaign-wide ladder stands.
         assert_eq!(
-            effective_batch_width(8, None, &Dfa::VwnRpa, Condition::EcNonPositivity),
-            8
+            effective_escalation(full, None, &Dfa::VwnRpa, Condition::EcNonPositivity),
+            full
         );
-        // The model predicts sub-millisecond (e^0 = 1 < 2): scalar path.
+        // The model predicts sub-millisecond (e^0 = 1 < 2): ladder off.
         let cheap = flat(0.0);
         assert_eq!(
-            effective_batch_width(8, Some(&cheap), &Dfa::VwnRpa, Condition::EcNonPositivity),
-            1
+            effective_escalation(full, Some(&cheap), &Dfa::VwnRpa, Condition::EcNonPositivity),
+            xcv_solver::Escalation::off()
         );
-        // The model predicts an expensive cell: the batched width stands.
+        // The model predicts an expensive cell: the requested ladder stands.
         let heavy = flat(5.0);
         assert_eq!(
-            effective_batch_width(8, Some(&heavy), &Dfa::Scan, Condition::UcMonotonicity),
-            8
+            effective_escalation(full, Some(&heavy), &Dfa::Scan, Condition::UcMonotonicity),
+            full
         );
     }
 

@@ -3,7 +3,7 @@
 //! audit without any of this crate's (or the solver's) search code.
 //!
 //! Emission is conservative: a certificate is attached only when the run is
-//! actually replayable — scalar HC4 contraction, optionally with the
+//! actually replayable — HC4 contraction, optionally with the
 //! escalation ladder (Newton steps replay through the shared driver over
 //! gradient programs the certificate carries; 3B shaves are re-proven from
 //! the main tape), but never the mean-value contractor, whose pruning is

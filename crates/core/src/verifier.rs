@@ -93,9 +93,8 @@ pub struct RunOptions {
     /// are recorded as [`RegionStatus::Cancelled`] leaves (resumable later)
     /// instead of being solved.
     pub cancel: Option<CancelToken>,
-    /// Record a [`SolveTrace`] for every `Verified` leaf (forces the
-    /// scalar solve path for traced boxes) — the raw material for
-    /// `xcv-cert` proof certificates.
+    /// Record a [`SolveTrace`] for every `Verified` leaf — the raw
+    /// material for `xcv-cert` proof certificates.
     pub record_traces: bool,
     /// Recursion depth the root box is considered to be at. A resumed
     /// `Cancelled` leaf re-verified with its recorded depth sees the exact

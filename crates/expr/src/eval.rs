@@ -161,16 +161,12 @@ pub(crate) enum Instr {
 #[derive(Debug, Clone)]
 pub struct Tape {
     code: Vec<Instr>,
-    /// Per-slot transitive variable-dependency bitsets (see
-    /// [`crate::IntervalTape::deps`] — same construction), powering
-    /// [`Tape::run_masked`].
-    deps: Vec<u64>,
 }
 
 /// Per-slot transitive variable-dependency bitsets of a lowered program:
 /// bit `v` set when the slot depends on variable `v` (variables `>= 64`
-/// saturate to all-ones — sound, only ever over-recomputing). Shared by the
-/// f64 [`Tape`] and [`crate::IntervalTape`].
+/// saturate to all-ones — sound, only ever over-recomputing). Computed for
+/// [`crate::IntervalTape`]'s dirty-slot passes.
 pub(crate) fn compute_deps(code: &[Instr]) -> Vec<u64> {
     let mut deps = vec![0u64; code.len()];
     for i in 0..code.len() {
@@ -335,14 +331,7 @@ pub(crate) fn fold_constants_f64(lowered: &mut Lowered) {
 /// folds with it — so folded and unfolded tapes are result-identical by
 /// construction, not by parallel maintenance of two interpreters.
 fn run_one_f64(instr: Instr, vals: &[f64]) -> f64 {
-    run_one_f64_with(instr, |j| vals[j as usize])
-}
-
-/// One f64 instruction with operand reads abstracted — the same arithmetic
-/// serves the scalar register file ([`run_one_f64`]) and the slot-major SoA
-/// file of [`Tape::run_batch`], so the two are bit-identical per lane.
-#[inline]
-fn run_one_f64_with(instr: Instr, g: impl Fn(u32) -> f64) -> f64 {
+    let g = |j: u32| vals[j as usize];
     match instr {
         Instr::Const(c) => c,
         Instr::IConst(_) | Instr::Var(_) => f64::NAN,
@@ -487,20 +476,7 @@ impl Tape {
         let mut lowered = lower_dag(roots);
         fold_constants_f64(&mut lowered);
         compact(&mut lowered);
-        let deps = compute_deps(&lowered.code);
-        (
-            Tape {
-                code: lowered.code,
-                deps,
-            },
-            lowered.roots,
-        )
-    }
-
-    /// The per-slot variable-dependency bitsets (see
-    /// [`crate::IntervalTape::deps`]).
-    pub fn deps(&self) -> &[u64] {
-        &self.deps
+        (Tape { code: lowered.code }, lowered.roots)
     }
 
     /// A scratch register file sized for this tape (reuse across calls).
@@ -536,60 +512,6 @@ impl Tape {
                 Instr::IConst(_) => unreachable!("IConst in an f64 tape"),
                 op => run_one_f64(op, scratch),
             };
-        }
-    }
-
-    /// Dirty-slot re-run: recompute only the slots whose dependency set
-    /// intersects `mask`, leaving every other register untouched — the f64
-    /// analogue of `IntervalTape::forward_masked`. Precondition: `scratch`
-    /// holds [`Tape::run`]'s image of a point that is *bitwise* identical
-    /// to `vars` on every variable outside `mask` (bitwise, because `-0.0`
-    /// and `0.0` compare equal but divide differently). Under it, the
-    /// result equals a full re-run bit for bit: skipped slots have
-    /// unchanged inputs, recomputed slots read unchanged or recomputed
-    /// operands in program order.
-    pub fn run_masked(&self, vars: &[f64], mask: u64, scratch: &mut [f64]) {
-        debug_assert_eq!(scratch.len(), self.code.len());
-        for (i, instr) in self.code.iter().enumerate() {
-            if self.deps[i] & mask == 0 {
-                continue;
-            }
-            scratch[i] = match *instr {
-                Instr::Var(v) => vars.get(v as usize).copied().unwrap_or(f64::NAN),
-                Instr::IConst(_) => unreachable!("IConst in an f64 tape"),
-                op => run_one_f64(op, scratch),
-            };
-        }
-    }
-
-    /// Instruction-outer batched run: evaluate the program at `width` points
-    /// in a single pass over the code stream, amortizing instruction decode
-    /// across lanes. `points[j]` is lane `j`'s variable vector; `scratch` is
-    /// a slot-major SoA register file of `len() * width` values
-    /// (`scratch[i * width + j]` holds slot `i`, lane `j`). Each lane's
-    /// registers end bit-identical to a scalar `run(points[j], …)` — same
-    /// instructions, same per-lane arithmetic, only loop order differs.
-    pub fn run_batch(&self, width: usize, points: &[&[f64]], scratch: &mut [f64]) {
-        debug_assert_eq!(points.len(), width);
-        debug_assert_eq!(scratch.len(), self.code.len() * width);
-        for (i, instr) in self.code.iter().enumerate() {
-            let base = i * width;
-            match *instr {
-                Instr::Var(v) => {
-                    for j in 0..width {
-                        scratch[base + j] = points[j].get(v as usize).copied().unwrap_or(f64::NAN);
-                    }
-                }
-                Instr::IConst(_) => unreachable!("IConst in an f64 tape"),
-                op => {
-                    for j in 0..width {
-                        // Split at `base` so the read closure borrows the
-                        // already-computed prefix while we write slot `i`.
-                        let (lo, hi) = scratch.split_at_mut(base);
-                        hi[j] = run_one_f64_with(op, |s| lo[s as usize * width + j]);
-                    }
-                }
-            }
         }
     }
 }
@@ -808,37 +730,6 @@ mod tests {
             let r1 = e.eval(&[a, b]).unwrap();
             let r2 = tape.eval(&[a, b], &mut scratch);
             assert!((r1 - r2).abs() <= 1e-15 * r1.abs().max(1.0), "{r1} vs {r2}");
-        }
-    }
-
-    #[test]
-    fn run_batch_lanes_match_scalar_run_bitwise() {
-        let x = var(0);
-        let y = var(1);
-        let e = (x.clone() * y.clone() + x.clone().exp()).sqrt() / (y.clone() - 0.5)
-            + x.abs().min(&y.powi(3));
-        let tape = Tape::compile(&e);
-        let pts: Vec<Vec<f64>> = vec![
-            vec![0.5, 1.0],
-            vec![2.0, 3.0],
-            vec![-1.0, 0.25],
-            vec![0.0, 0.5], // division by zero lane
-            vec![f64::NAN, 1.0],
-        ];
-        let width = pts.len();
-        let views: Vec<&[f64]> = pts.iter().map(|p| p.as_slice()).collect();
-        let mut soa = vec![0.0; tape.len() * width];
-        tape.run_batch(width, &views, &mut soa);
-        let mut scratch = tape.scratch();
-        for (j, p) in pts.iter().enumerate() {
-            tape.run(p, &mut scratch);
-            for i in 0..tape.len() {
-                assert_eq!(
-                    soa[i * width + j].to_bits(),
-                    scratch[i].to_bits(),
-                    "slot {i}, lane {j}"
-                );
-            }
         }
     }
 

@@ -9,29 +9,21 @@
 //! `u32` slot indices) and then runs every pass over a caller-owned slot file:
 //!
 //! * [`IntervalTape::forward`] — natural interval extension of every node;
-//! * [`IntervalTape::forward_batch`] — the same forward pass over a
-//!   structure-of-arrays slot file holding B boxes at once
-//!   (`slots × lanes`, lane-major per slot): one instruction decode serves
-//!   every lane, with the inner loops delegated to the slice kernels of
-//!   [`xcv_interval::lanes`]. The branch-and-prune frontier search feeds
-//!   its `batch_width` boxes through this;
-//! * [`IntervalTape::forward_from`] — *dirty-slot* re-evaluation: using the
-//!   per-slot variable **dependency bitsets** computed at compile time
-//!   ([`IntervalTape::deps`]), recompute only the slots downstream of one
-//!   axis. After bisecting axis *k*, a child box differs from its parent
-//!   only along *k*, so every slot outside *k*'s dependency cone keeps the
-//!   parent's (already computed, bit-identical) enclosure — the
-//!   common-subexpression work above the split axis is never redone;
+//! * [`IntervalTape::forward_masked`] / [`IntervalTape::forward_from`] —
+//!   *dirty-slot* re-evaluation: using the per-slot variable **dependency
+//!   bitsets** computed at compile time ([`IntervalTape::deps`]), recompute
+//!   only the slots downstream of the changed axes. The escalation ladder's
+//!   3B slab shaver probes one box face at a time this way: a slab differs
+//!   from the box only along one axis, so every slot outside that axis'
+//!   dependency cone keeps its (already computed, bit-identical) enclosure;
 //! * [`IntervalTape::forward_meet`] — re-tighten parents from narrowed
 //!   children (between HC4 sweeps), intersecting in place;
 //! * [`IntervalTape::backward`] — one reverse sweep of the HC4 inverse rules,
 //!   contracting child enclosures in place (a no-op where no cheap inverse
 //!   exists — always sound).
 //!
-//! All the forward variants compute bit-identical slot values for the same
-//! box: `forward_batch` applies the identical scalar operations lane by
-//! lane, and `forward_from` only skips slots whose inputs are unchanged.
-//! Batched solving therefore never changes an outcome, only its cost.
+//! The forward variants compute bit-identical slot values for the same box:
+//! the dirty-slot passes only skip slots whose inputs are unchanged.
 //!
 //! Slot files are **write-before-read**: every pass overwrites each slot it
 //! touches before reading it, so scratch buffers are reused across boxes
@@ -83,8 +75,7 @@ impl IntervalTape {
         // symbolic, and every surviving slot is re-evaluated on every box.
         crate::eval::fold_constants_interval(&mut lowered);
         crate::eval::compact(&mut lowered);
-        // Dependency bitsets over the folded, compacted program — the same
-        // construction the f64 tape's `run_masked` cache uses.
+        // Dependency bitsets over the folded, compacted program.
         let deps = crate::eval::compute_deps(&lowered.code);
         IntervalTape {
             code: lowered.code,
@@ -372,14 +363,6 @@ impl IntervalTape {
         vec![Interval::ENTIRE; self.code.len()]
     }
 
-    /// A structure-of-arrays slot file for `width`-lane batched passes
-    /// (`slots × width`, lane-major within each slot: lane `j` of slot `i`
-    /// lives at `i * width + j`). Reuse across batches exactly like
-    /// [`IntervalTape::scratch`].
-    pub fn scratch_batch(&self, width: usize) -> Vec<Interval> {
-        vec![Interval::ENTIRE; self.code.len() * width]
-    }
-
     /// Forward pass: overwrite every slot with the natural interval extension
     /// given per-variable `domains` (indexed by variable id; missing
     /// variables read as ENTIRE).
@@ -413,9 +396,7 @@ impl IntervalTape {
     /// precondition generalizes accordingly — `vals` must be a valid
     /// forward image of a box agreeing with `domains` outside `mask`.
     /// (Constant slots are box-independent and are never recomputed, so
-    /// this never substitutes for a first full [`IntervalTape::forward`];
-    /// batch lanes marked `u64::MAX` get that in
-    /// [`IntervalTape::forward_batch`].)
+    /// this never substitutes for a first full [`IntervalTape::forward`].)
     pub fn forward_masked(&self, mask: u64, domains: &[Interval], vals: &mut [Interval]) {
         debug_assert_eq!(vals.len(), self.code.len());
         for (i, instr) in self.code.iter().enumerate() {
@@ -431,121 +412,6 @@ impl IntervalTape {
         }
     }
 
-    /// How many slots a dirty `mask` would recompute.
-    pub fn cone_count(&self, mask: u64) -> usize {
-        self.deps.iter().filter(|&&d| d & mask != 0).count()
-    }
-
-    /// Weighted recompute cost of a dirty `mask`: the sum of per-
-    /// instruction forward weights over its cone. Slot counts alone
-    /// mislead — one `exp` costs an order of magnitude more than an `add`
-    /// — so the batched solver's snapshot-refresh decision weighs cones
-    /// with this instead.
-    pub fn cone_cost(&self, mask: u64) -> f64 {
-        self.code
-            .iter()
-            .zip(&self.deps)
-            .filter(|&(_, &d)| d & mask != 0)
-            .map(|(&c, _)| instr_weight(c))
-            .sum()
-    }
-
-    /// Batched forward pass over a structure-of-arrays slot file
-    /// (`slots × width`, lane-major per slot — see
-    /// [`IntervalTape::scratch_batch`]). `domains[j]` is lane `j`'s box;
-    /// `dirty[j]` selects what lane `j` recomputes:
-    ///
-    /// * `u64::MAX` — a full forward pass for the lane (every slot,
-    ///   constants included); the lane's column may hold garbage;
-    /// * any other mask — dirty-slot re-evaluation: only slots whose
-    ///   dependency set intersects the mask are recomputed, so the lane's
-    ///   column must already hold a forward image valid outside the mask
-    ///   (the [`IntervalTape::forward_from`] precondition, lifted to masks).
-    ///
-    /// When every lane wants a slot, the operation runs as one
-    /// [`xcv_interval::lanes`] slice kernel over the contiguous lane block;
-    /// otherwise the needing lanes are evaluated individually. Either way
-    /// each lane's values are bit-identical to a scalar
-    /// [`IntervalTape::forward`] over its box.
-    pub fn forward_batch(
-        &self,
-        width: usize,
-        domains: &[&[Interval]],
-        dirty: &[u64],
-        vals: &mut [Interval],
-    ) {
-        assert_eq!(domains.len(), width, "one domain slice per lane");
-        assert_eq!(dirty.len(), width, "one dirty mask per lane");
-        assert_eq!(vals.len(), self.code.len() * width, "SoA slot file size");
-        if width == 0 {
-            return;
-        }
-        for (i, &instr) in self.code.iter().enumerate() {
-            let d = self.deps[i];
-            let need = |j: usize| dirty[j] == u64::MAX || d & dirty[j] != 0;
-            // `split_at_mut` keeps this safe: operands always precede the
-            // output slot, so their columns live entirely in `head`.
-            let (head, tail) = vals.split_at_mut(i * width);
-            let out = &mut tail[..width];
-            match instr {
-                Instr::Const(c) => {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        if need(j) {
-                            *o = Interval::point(c);
-                        }
-                    }
-                }
-                Instr::IConst(v) => {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        if need(j) {
-                            *o = v;
-                        }
-                    }
-                }
-                Instr::Var(v) => {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        if need(j) {
-                            *o = domains[j]
-                                .get(v as usize)
-                                .copied()
-                                .unwrap_or(Interval::ENTIRE);
-                        }
-                    }
-                }
-                op => {
-                    // Lanes with equal dirty masks form contiguous runs —
-                    // the engine pushes, selects, and seeds sibling boxes
-                    // together — so even the partial-recompute path runs as
-                    // slice kernels over each needing run (and a uniform
-                    // batch degenerates to one full-width kernel).
-                    let mut g0 = 0;
-                    while g0 < width {
-                        let m = dirty[g0];
-                        let mut g1 = g0 + 1;
-                        while g1 < width && dirty[g1] == m {
-                            g1 += 1;
-                        }
-                        if m == u64::MAX || d & m != 0 {
-                            if g1 - g0 == 1 {
-                                out[g0] = eval_op_with(op, |s| head[s as usize * width + g0]);
-                            } else {
-                                batch_op(
-                                    op,
-                                    |s| {
-                                        let base = s as usize * width;
-                                        &head[base + g0..base + g1]
-                                    },
-                                    &mut out[g0..g1],
-                                );
-                            }
-                        }
-                        g0 = g1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Re-run the forward pass, *intersecting* each non-leaf slot with its
     /// recomputed value (between HC4 sweeps). Leaves keep their current —
     /// possibly contracted — enclosures.
@@ -557,31 +423,6 @@ impl IntervalTape {
                 op => {
                     let fresh = eval_op(op, vals);
                     vals[i] = vals[i].intersect(&fresh);
-                }
-            }
-        }
-    }
-
-    /// [`IntervalTape::forward_meet`] over the live lanes of a
-    /// structure-of-arrays slot file (same layout as
-    /// [`IntervalTape::forward_batch`]): one instruction decode per slot,
-    /// every live lane re-tightened. Lane-by-lane identical to the scalar
-    /// pass.
-    pub fn forward_meet_batch(&self, width: usize, alive: &[bool], vals: &mut [Interval]) {
-        debug_assert_eq!(alive.len(), width);
-        debug_assert_eq!(vals.len(), self.code.len() * width);
-        for (i, &instr) in self.code.iter().enumerate() {
-            match instr {
-                Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {}
-                op => {
-                    let (head, tail) = vals.split_at_mut(i * width);
-                    let out = &mut tail[..width];
-                    for (j, o) in out.iter_mut().enumerate() {
-                        if alive[j] {
-                            let fresh = eval_op_with(op, |s| head[s as usize * width + j]);
-                            *o = o.intersect(&fresh);
-                        }
-                    }
                 }
             }
         }
@@ -603,122 +444,34 @@ impl IntervalTape {
         }
         true
     }
-
-    /// [`IntervalTape::backward`] over the live lanes of a
-    /// structure-of-arrays slot file: one instruction decode per slot, the
-    /// identical inverse rule ([`backward_step`] is shared code, generic
-    /// over the slot layout) applied to every live lane. A lane whose sweep
-    /// proves emptiness has its `alive` flag cleared — the caller reads the
-    /// transitions; the sweep itself continues for the other lanes.
-    pub fn backward_batch(&self, width: usize, alive: &mut [bool], vals: &mut [Interval]) {
-        debug_assert_eq!(alive.len(), width);
-        debug_assert_eq!(vals.len(), self.code.len() * width);
-        for i in (0..self.code.len()).rev() {
-            let instr = self.code[i];
-            for (j, live) in alive.iter_mut().enumerate() {
-                if *live {
-                    let mut lane = LaneView {
-                        vals,
-                        width,
-                        lane: j,
-                    };
-                    if !backward_step(i as u32, instr, &mut lane) {
-                        *live = false;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Rough relative forward-evaluation cost of one instruction, in "adds"
-/// (libm transcendentals dominate; rounding steps are cheap). Only ratios
-/// matter — see [`IntervalTape::cone_cost`].
-fn instr_weight(instr: Instr) -> f64 {
-    match instr {
-        Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => 1.0,
-        Instr::Add(..) | Instr::Neg(_) | Instr::Abs(_) | Instr::Min(..) | Instr::Max(..) => 2.0,
-        Instr::Mul(..) | Instr::PowI(..) | Instr::Ite(..) => 4.0,
-        Instr::Div(..) | Instr::Sqrt(_) | Instr::Cbrt(_) => 6.0,
-        Instr::Exp(_)
-        | Instr::Ln(_)
-        | Instr::Pow(..)
-        | Instr::Atan(_)
-        | Instr::Sin(_)
-        | Instr::Cos(_)
-        | Instr::Tanh(_)
-        | Instr::LambertW(_) => 12.0,
-    }
-}
-
-/// Read/write access to one box's slot values, independent of memory
-/// layout: contiguous slices for the scalar engine, one lane of a
-/// structure-of-arrays file ([`LaneView`]) for the batched one. The HC4
-/// inverse rules ([`backward_step`]) are generic over this, so both engines
-/// run literally the same code — bit-identical results by construction.
-pub trait SlotFile {
-    fn get(&self, i: u32) -> Interval;
-    fn set(&mut self, i: u32, v: Interval);
-}
-
-impl SlotFile for [Interval] {
-    #[inline]
-    fn get(&self, i: u32) -> Interval {
-        self[i as usize]
-    }
-
-    #[inline]
-    fn set(&mut self, i: u32, v: Interval) {
-        self[i as usize] = v;
-    }
-}
-
-/// One lane of a `slots × width` structure-of-arrays slot file.
-pub struct LaneView<'a> {
-    pub vals: &'a mut [Interval],
-    pub width: usize,
-    pub lane: usize,
-}
-
-impl SlotFile for LaneView<'_> {
-    #[inline]
-    fn get(&self, i: u32) -> Interval {
-        self.vals[i as usize * self.width + self.lane]
-    }
-
-    #[inline]
-    fn set(&mut self, i: u32, v: Interval) {
-        self.vals[i as usize * self.width + self.lane] = v;
-    }
 }
 
 /// The HC4 inverse rule for one instruction, on one box's slot values:
 /// read the node's enclosure, contract the children through the operation's
-/// inverse. `false` when emptiness is proven. This is *the* rule set — the
-/// scalar sweep and every batched lane execute this exact function.
+/// inverse. `false` when emptiness is proven.
 #[allow(clippy::too_many_lines)]
-fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bool {
+fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
     {
-        let d = vals.get(i);
+        let d = vals[i as usize];
         if d.is_empty() {
             return false;
         }
         match instr {
             Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {}
             Instr::Add(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 if !meet(vals, a, d.sub(&cb)) || !meet(vals, b, d.sub(&ca)) {
                     return false;
                 }
             }
             Instr::Mul(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 if !meet(vals, a, d.div(&cb)) || !meet(vals, b, d.div(&ca)) {
                     return false;
                 }
             }
             Instr::Div(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 if !meet(vals, a, d.mul(&cb)) || !meet(vals, b, ca.div(&d)) {
                     return false;
                 }
@@ -734,7 +487,7 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                 }
             }
             Instr::Pow(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 // a^b with a > 0 implies node > 0.
                 if ca.certainly_gt(0.0) {
                     let dpos = d.intersect(&Interval::new(0.0, f64::INFINITY));
@@ -842,15 +595,15 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                 if dpos.is_empty() {
                     return false;
                 }
-                let ca = vals.get(a);
+                let ca = vals[a as usize];
                 let pre = ca.intersect(&dpos).hull(&ca.intersect(&dpos.neg()));
                 if pre.is_empty() {
                     return false;
                 }
-                vals.set(a, pre);
+                vals[a as usize] = pre;
             }
             Instr::Min(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 // Both operands are >= min's lower bound.
                 let floor = Interval::new(d.lo, f64::INFINITY);
                 let mut na = ca.intersect(&floor);
@@ -866,11 +619,11 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                 if na.is_empty() || nb.is_empty() {
                     return false;
                 }
-                vals.set(a, na);
-                vals.set(b, nb);
+                vals[a as usize] = na;
+                vals[b as usize] = nb;
             }
             Instr::Max(a, b) => {
-                let (ca, cb) = (vals.get(a), vals.get(b));
+                let (ca, cb) = (vals[a as usize], vals[b as usize]);
                 let ceil = Interval::new(f64::NEG_INFINITY, d.hi);
                 let mut na = ca.intersect(&ceil);
                 let mut nb = cb.intersect(&ceil);
@@ -883,8 +636,8 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                 if na.is_empty() || nb.is_empty() {
                     return false;
                 }
-                vals.set(a, na);
-                vals.set(b, nb);
+                vals[a as usize] = na;
+                vals[b as usize] = nb;
             }
             Instr::LambertW(a) => {
                 // W(a) = d  =>  a = d e^d (monotone on our domain).
@@ -893,7 +646,7 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                 }
             }
             Instr::Ite(c, t, e) => {
-                let cc = vals.get(c);
+                let cc = vals[c as usize];
                 if cc.certainly_ge(0.0) {
                     if !meet(vals, t, d) {
                         return false;
@@ -903,8 +656,8 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
                         return false;
                     }
                 } else {
-                    let ct = vals.get(t);
-                    let ce = vals.get(e);
+                    let ct = vals[t as usize];
+                    let ce = vals[e as usize];
                     let then_possible = !ct.intersect(&d).is_empty();
                     let else_possible = !ce.intersect(&d).is_empty();
                     match (then_possible, else_possible) {
@@ -937,51 +690,7 @@ fn backward_step<S: SlotFile + ?Sized>(i: u32, instr: Instr, vals: &mut S) -> bo
 /// (shared with the compile-time constant folder in [`crate::eval`]).
 #[inline]
 pub(crate) fn eval_op(instr: Instr, vals: &[Interval]) -> Interval {
-    eval_op_with(instr, |j| vals[j as usize])
-}
-
-/// One non-leaf instruction over `width` lanes at once: the contiguous-lane
-/// slice kernels of [`xcv_interval::lanes`] for the core operations, a
-/// lane-indexed scalar loop for the rest (`Ite` needs per-lane branch
-/// resolution anyway). Lane-by-lane identical to [`eval_op`].
-#[inline]
-fn batch_op<'a>(instr: Instr, col: impl Fn(u32) -> &'a [Interval], out: &mut [Interval]) {
-    use xcv_interval::lanes;
-    match instr {
-        Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {
-            unreachable!("leaves handled by callers")
-        }
-        Instr::Add(a, b) => lanes::add(col(a), col(b), out),
-        Instr::Mul(a, b) => lanes::mul(col(a), col(b), out),
-        Instr::Div(a, b) => lanes::div(col(a), col(b), out),
-        Instr::Neg(a) => lanes::neg(col(a), out),
-        Instr::PowI(a, n) => lanes::powi(col(a), n, out),
-        Instr::Pow(a, b) => lanes::pow(col(a), col(b), out),
-        Instr::Exp(a) => lanes::exp(col(a), out),
-        Instr::Ln(a) => lanes::ln(col(a), out),
-        Instr::Sqrt(a) => lanes::sqrt(col(a), out),
-        Instr::Cbrt(a) => lanes::cbrt(col(a), out),
-        Instr::Atan(a) => lanes::atan(col(a), out),
-        Instr::Sin(a) => lanes::sin(col(a), out),
-        Instr::Cos(a) => lanes::cos(col(a), out),
-        Instr::Tanh(a) => lanes::tanh(col(a), out),
-        Instr::Abs(a) => lanes::abs(col(a), out),
-        Instr::Min(a, b) => lanes::min_i(col(a), col(b), out),
-        Instr::Max(a, b) => lanes::max_i(col(a), col(b), out),
-        Instr::LambertW(a) => lanes::lambert_w0(col(a), out),
-        Instr::Ite(..) => {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = eval_op_with(instr, |s| col(s)[j]);
-            }
-        }
-    }
-}
-
-/// The single-instruction forward step, generic over how operand enclosures
-/// are fetched — slot-indexed for the scalar interpreter, lane-strided for
-/// the batched one.
-#[inline]
-fn eval_op_with(instr: Instr, g: impl Fn(u32) -> Interval) -> Interval {
+    let g = |j: u32| vals[j as usize];
     match instr {
         Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {
             unreachable!("leaves handled by callers")
@@ -1021,13 +730,13 @@ fn eval_op_with(instr: Instr, g: impl Fn(u32) -> Interval) -> Interval {
 
 /// Meet the slot with `narrow`; false if proven empty.
 #[inline]
-fn meet<S: SlotFile + ?Sized>(vals: &mut S, idx: u32, narrow: Interval) -> bool {
-    let m = vals.get(idx).intersect(&narrow);
-    vals.set(idx, m);
+fn meet(vals: &mut [Interval], idx: u32, narrow: Interval) -> bool {
+    let m = vals[idx as usize].intersect(&narrow);
+    vals[idx as usize] = m;
     !m.is_empty()
 }
 
-fn backward_powi<S: SlotFile + ?Sized>(vals: &mut S, a: u32, n: i32, d: Interval) -> bool {
+fn backward_powi(vals: &mut [Interval], a: u32, n: i32, d: Interval) -> bool {
     if n == 0 {
         return !d.intersect(&Interval::ONE).is_empty();
     }
@@ -1044,12 +753,12 @@ fn backward_powi<S: SlotFile + ?Sized>(vals: &mut S, a: u32, n: i32, d: Interval
             return false;
         }
         let r = dpos.nth_root(n); // [p, q], p >= 0
-        let ca = vals.get(a);
+        let ca = vals[a as usize];
         let pre = ca.intersect(&r).hull(&ca.intersect(&r.neg()));
         if pre.is_empty() {
             return false;
         }
-        vals.set(a, pre);
+        vals[a as usize] = pre;
         true
     }
 }
@@ -1219,61 +928,6 @@ mod tests {
             let mut full = tape.scratch();
             tape.forward(&child, &mut full);
             assert_eq!(partial, full, "axis {axis}");
-        }
-    }
-
-    #[test]
-    fn forward_batch_matches_scalar_lanes() {
-        let x = var(0);
-        let y = var(1);
-        let e = (x.clone() * y.clone() + x.clone().exp()).sqrt() / (y.clone() + 2.0)
-            + x.clone().min(&y.clone()).abs();
-        let tape = IntervalTape::compile(std::slice::from_ref(&e));
-        let boxes = [
-            vec![interval(0.1, 0.9), interval(0.5, 2.0)],
-            vec![interval(-1.0, 1.0), interval(1.0, 3.0)],
-            vec![interval(2.0, 2.0), interval(-0.5, 0.5)],
-        ];
-        let width = boxes.len();
-        let domains: Vec<&[Interval]> = boxes.iter().map(|b| b.as_slice()).collect();
-        let dirty = vec![u64::MAX; width];
-        let mut soa = tape.scratch_batch(width);
-        tape.forward_batch(width, &domains, &dirty, &mut soa);
-        let mut scalar = tape.scratch();
-        for (j, b) in boxes.iter().enumerate() {
-            tape.forward(b, &mut scalar);
-            for i in 0..tape.len() {
-                assert_eq!(soa[i * width + j], scalar[i], "slot {i}, lane {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_batch_mixed_dirty_lanes() {
-        // Lane 0: full pass. Lane 1: a child of lane 0's box re-bisected
-        // along axis 1, seeded with lane 0's column. Both must equal their
-        // scalar forward images.
-        let e = (var(0).exp() + var(1).powi(2)).sqrt() * var(1).atan();
-        let tape = IntervalTape::compile(std::slice::from_ref(&e));
-        let parent = vec![interval(0.2, 1.0), interval(0.0, 2.0)];
-        let child = vec![interval(0.2, 1.0), interval(1.0, 2.0)];
-        let width = 2;
-        let mut soa = tape.scratch_batch(width);
-        // Seed lane 1's column with the parent's forward image.
-        let mut parent_vals = tape.scratch();
-        tape.forward(&parent, &mut parent_vals);
-        for i in 0..tape.len() {
-            soa[i * width + 1] = parent_vals[i];
-        }
-        let domains: Vec<&[Interval]> = vec![&parent, &child];
-        let dirty = vec![u64::MAX, 1u64 << 1];
-        tape.forward_batch(width, &domains, &dirty, &mut soa);
-        let mut scalar = tape.scratch();
-        for (j, b) in [&parent, &child].into_iter().enumerate() {
-            tape.forward(b, &mut scalar);
-            for i in 0..tape.len() {
-                assert_eq!(soa[i * width + j], scalar[i], "slot {i}, lane {j}");
-            }
         }
     }
 

@@ -21,7 +21,6 @@
 
 mod interval;
 mod lambert;
-pub mod lanes;
 pub mod newton;
 pub mod round;
 mod transcendental;

@@ -11,10 +11,9 @@
 //! through an order-preserving integer transform ([`to_ordered`]), stepped by
 //! integer add/sub, and mapped back. The only data-dependent constructs left
 //! are boolean selects (NaN / directed-infinity fixed points and the ±0.0
-//! skip), which LLVM lowers to `cmov`/blend — so the slice kernels in
-//! [`crate::lanes`] vectorize instead of serializing on per-element branches.
-//! The semantics are *exactly* those of `f64::next_down`/`next_up` (verified
-//! bit-for-bit by the tests below), so scalar and batched execution agree.
+//! skip), which LLVM lowers to `cmov`/blend rather than branches. The
+//! semantics are *exactly* those of `f64::next_down`/`next_up` (verified
+//! bit-for-bit by the tests below).
 
 /// Number of ULPs by which transcendental results from the platform libm are
 /// widened. glibc documents worst-case errors below 2 ULP for the functions we

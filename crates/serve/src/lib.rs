@@ -46,6 +46,12 @@
 //!   δ, budget, split threshold, depth cap, and deadline — but *not* the
 //!   parallelism knobs, which cannot change marks.
 //!
+//! A fingerprint changes whenever its hashed field list does: the solver
+//! fingerprint no longer hashes a batch width (the solver has one search
+//! engine), so every result a store persisted before that change misses
+//! once and is recomputed under its new key. An old file is never served
+//! for a new key.
+//!
 //! ## Operations & failure modes
 //!
 //! The daemon is built to keep serving through the failures a long-running

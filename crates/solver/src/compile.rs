@@ -33,11 +33,6 @@ use xcv_interval::Interval;
 /// boxes against one [`CompiledFormula`] must not move it.
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// Unique id per [`CompiledFormula`] build, keying the f64 register cache
-/// in [`SolveScratch`] (clones share the id — their tapes are identical, so
-/// cached registers remain valid). Starts at 1; 0 means "cache invalid".
-static FORMULA_UID: AtomicU64 = AtomicU64::new(1);
-
 /// Number of tape compilations performed so far, process-wide. Incremented
 /// by [`CompiledFormula::compile`], [`CompiledAtom::compile`], and the
 /// once-per-formula mean-value gradient build; tests assert it stays flat
@@ -149,17 +144,6 @@ pub struct CompiledFormula {
     /// it can never affect satisfaction, so the solver neither splits them
     /// nor lets their width keep a box from being δ-decided.
     support: u64,
-    /// `cone_cost[m]` ≈ relative forward-pass cost of recomputing dirty
-    /// mask `m` (weighted per-instruction — an `exp` slot costs an order of
-    /// magnitude more than an `add`), precomputed for every axis subset so
-    /// the batched engine's snapshot-refresh decision is two lookups
-    /// instead of three dependency scans. Indexed by the low
-    /// `cone_axes` bits of the mask; empty when the space is too wide.
-    cone_cost: Vec<f64>,
-    cone_axes: u32,
-    /// Cache key for the f64 register file in [`SolveScratch`] (see
-    /// [`FORMULA_UID`]).
-    uid: u64,
     /// Forward/backward rounds per HC4 contraction call.
     max_rounds: usize,
     mv: OnceLock<MeanValueProgram>,
@@ -175,9 +159,6 @@ impl Clone for CompiledFormula {
             ftape: self.ftape.clone(),
             atoms: self.atoms.clone(),
             support: self.support,
-            cone_cost: self.cone_cost.clone(),
-            cone_axes: self.cone_axes,
-            uid: self.uid,
             max_rounds: self.max_rounds,
             mv: OnceLock::new(),
         }
@@ -215,14 +196,6 @@ impl CompiledFormula {
             })
             .collect();
         let support = itape.var_mask();
-        // Weighted cone costs for every axis subset (PB problems top out at
-        // 4 axes, so the table is tiny; wider spaces fall back to scanning).
-        let top = 64 - support.leading_zeros();
-        let (cone_axes, cone_cost) = if support != u64::MAX && top <= 8 {
-            (top, (0..1u64 << top).map(|m| itape.cone_cost(m)).collect())
-        } else {
-            (0, Vec::new())
-        };
         CompiledFormula {
             source: formula.clone(),
             space,
@@ -230,9 +203,6 @@ impl CompiledFormula {
             ftape,
             atoms,
             support,
-            cone_cost,
-            cone_axes,
-            uid: FORMULA_UID.fetch_add(1, Ordering::Relaxed),
             max_rounds: 3,
             mv: OnceLock::new(),
         }
@@ -284,11 +254,6 @@ impl CompiledFormula {
         self.itape.len()
     }
 
-    /// The shared interval tape (for the batched solver's SoA passes).
-    pub(crate) fn itape(&self) -> &IntervalTape {
-        &self.itape
-    }
-
     /// The shared interval tape over every atom's expression: root `i` is
     /// atom `i`'s expression. Certificate emission serializes this
     /// ([`IntervalTape::to_portable`]) so an independent checker can replay
@@ -306,16 +271,6 @@ impl CompiledFormula {
     /// Forward/backward rounds one [`CompiledFormula::contract`] call runs.
     pub fn max_rounds(&self) -> usize {
         self.max_rounds
-    }
-
-    /// Weighted forward cost of recomputing dirty mask `mask` (precomputed
-    /// per axis subset; see `IntervalTape::cone_cost`).
-    pub(crate) fn cone_cost(&self, mask: u64) -> f64 {
-        if self.cone_axes > 0 && mask >> self.cone_axes == 0 {
-            self.cone_cost[mask as usize]
-        } else {
-            self.itape.cone_cost(mask)
-        }
     }
 
     /// Bitmask of the variables the compiled program mentions — the
@@ -385,38 +340,10 @@ impl CompiledFormula {
     }
 
     /// Run the shared f64 tape at `point`, filling the scratch register
-    /// file — *incrementally* when the registers still hold this tape's
-    /// image of a previous point: only slots depending on changed
-    /// coordinates (bitwise compare; `-0.0` and `0.0` divide differently)
-    /// are recomputed, bit-identically to a full run. Branch scoring makes
-    /// this pay on every split — the two half-box midpoints differ from
-    /// the parent box's midpoint only on the split axis, so the second and
-    /// third tape runs touch one dependency cone each.
+    /// file.
     fn run_ftape(&self, point: &[f64], scratch: &mut SolveScratch) {
-        let n = self.ftape.len();
-        if scratch.fcache
-            && scratch.fpoint_uid == self.uid
-            && scratch.fvals.len() == n
-            && scratch.fpoint.len() == point.len()
-        {
-            let mut mask = 0u64;
-            for (i, (&p, old)) in point.iter().zip(scratch.fpoint.iter_mut()).enumerate() {
-                let bits = p.to_bits();
-                if bits != *old {
-                    mask |= if i < 64 { 1 << i } else { u64::MAX };
-                    *old = bits;
-                }
-            }
-            if mask != 0 {
-                self.ftape.run_masked(point, mask, &mut scratch.fvals);
-            }
-            return;
-        }
-        scratch.fvals.resize(n, 0.0);
+        scratch.fvals.resize(self.ftape.len(), 0.0);
         self.ftape.run(point, &mut scratch.fvals);
-        scratch.fpoint.clear();
-        scratch.fpoint.extend(point.iter().map(|p| p.to_bits()));
-        scratch.fpoint_uid = self.uid;
     }
 
     /// Exact satisfaction of every atom at a point (tape-based
@@ -488,26 +415,9 @@ impl CompiledFormula {
         scratch: &mut SolveScratch,
         max_rounds: usize,
     ) -> Contraction {
-        ensure_slots(&mut scratch.ivals, self.itape.len());
-        self.itape.forward(b.dims(), &mut scratch.ivals);
-        self.contract_after_forward(b, scratch, max_rounds)
-    }
-
-    /// The post-forward remainder of [`CompiledFormula::contract_with_rounds`]:
-    /// impose root constraints, sweep backward, extract variable domains,
-    /// iterate. Requires `scratch.ivals` to already hold the forward image
-    /// of `b` — the scalar path computes it in place, the batched path
-    /// copies one SoA lane in. Keeping this a single function is what makes
-    /// batched and scalar contraction identical by construction rather than
-    /// by parallel maintenance.
-    pub(crate) fn contract_after_forward(
-        &self,
-        b: &BoxDomain,
-        scratch: &mut SolveScratch,
-        max_rounds: usize,
-    ) -> Contraction {
         let vals = &mut scratch.ivals;
-        debug_assert_eq!(vals.len(), self.itape.len());
+        ensure_slots(vals, self.itape.len());
+        self.itape.forward(b.dims(), vals);
         let mut current = b.clone();
         for round in 0..max_rounds {
             if round > 0 {
@@ -548,107 +458,6 @@ impl CompiledFormula {
             }
         }
         Contraction::Box(current)
-    }
-
-    /// Batched HC4 contraction over `width` lanes whose forward images sit
-    /// in the structure-of-arrays slot file `vals` (which this mutates —
-    /// callers wanting the pure forward image copy it out first).
-    ///
-    /// Round orchestration mirrors [`CompiledFormula::contract_after_forward`]
-    /// lane by lane — impose root constraints, sweep backward, extract
-    /// variable domains, stop at < 5% improvement — but each sweep runs
-    /// instruction-outer across all still-live lanes
-    /// (`IntervalTape::{backward_batch, forward_meet_batch}`), so one
-    /// instruction decode serves the whole batch and the inverse rules are
-    /// literally the shared `backward_step` code. Lanes decide
-    /// independently; `results[j]` is always set on return.
-    pub(crate) fn contract_batch(
-        &self,
-        boxes: &[BoxDomain],
-        width: usize,
-        vals: &mut [Interval],
-        alive: &mut Vec<bool>,
-        results: &mut Vec<Option<Contraction>>,
-        current: &mut Vec<BoxDomain>,
-    ) {
-        debug_assert_eq!(boxes.len(), width);
-        debug_assert_eq!(vals.len(), self.itape.len() * width);
-        alive.clear();
-        alive.resize(width, true);
-        results.clear();
-        results.resize(width, None);
-        current.clear();
-        current.extend(boxes.iter().cloned());
-        for round in 0..self.max_rounds {
-            if !alive.iter().any(|&a| a) {
-                break;
-            }
-            if round > 0 {
-                // Re-tighten parents from the narrowed children.
-                self.itape.forward_meet_batch(width, alive, vals);
-            }
-            // Impose root constraints.
-            for j in 0..width {
-                if !alive[j] {
-                    continue;
-                }
-                for a in &self.atoms {
-                    let idx = a.root as usize * width + j;
-                    let met = vals[idx].intersect(&a.allowed);
-                    if met.is_empty() {
-                        results[j] = Some(Contraction::Empty);
-                        alive[j] = false;
-                        break;
-                    }
-                    vals[idx] = met;
-                }
-            }
-            // Backward sweep across the surviving lanes.
-            self.itape.backward_batch(width, alive, vals);
-            for j in 0..width {
-                if !alive[j] && results[j].is_none() {
-                    results[j] = Some(Contraction::Empty);
-                }
-            }
-            // Extract variable domains. Variables beyond a box's dimension
-            // read as ENTIRE and are not contracted (mirrors the scalar
-            // path).
-            for j in 0..width {
-                if !alive[j] {
-                    continue;
-                }
-                let mut next = current[j].clone();
-                let mut empty = false;
-                for &(slot, v) in self.itape.var_slots() {
-                    if (v as usize) >= current[j].ndim() {
-                        continue;
-                    }
-                    let met =
-                        vals[slot as usize * width + j].intersect(&current[j].dim(v as usize));
-                    if met.is_empty() {
-                        empty = true;
-                        break;
-                    }
-                    next.set_dim(v as usize, met);
-                }
-                if empty {
-                    results[j] = Some(Contraction::Empty);
-                    alive[j] = false;
-                    continue;
-                }
-                let gain = improvement(&current[j], &next);
-                current[j] = next;
-                if gain < 0.05 {
-                    results[j] = Some(Contraction::Box(current[j].clone()));
-                    alive[j] = false;
-                }
-            }
-        }
-        for j in 0..width {
-            if results[j].is_none() {
-                results[j] = Some(Contraction::Box(current[j].clone()));
-            }
-        }
     }
 
     /// The mean-value program, built (with full symbolic differentiation) on
@@ -936,89 +745,6 @@ impl CompiledFormula {
             None
         }
     }
-
-    /// Satellite-2 stage of the batched engine: precompute, for every lane
-    /// whose contraction produced a non-empty box, the f64 midpoint
-    /// feasibility check and both child-half split scores in **one**
-    /// instruction-outer [`Tape::run_batch`] pass (3 probe points per
-    /// lane), instead of three scalar tape runs per lane inside
-    /// `step_after_contract`. Results land in `scratch.lane_pre`; lanes
-    /// that were pruned (or whose box the mean-value/ladder rungs later
-    /// modify — the consumer guards on that) stay `None` and fall back to
-    /// the scalar path. Bit-identical by construction: `run_batch` lanes
-    /// match `Tape::run`, and the probe points are computed by the same
-    /// `midpoint`/`bisect_supported` calls the scalar path makes.
-    pub(crate) fn lane_scores(&self, lanes: &[Option<Contraction>], scratch: &mut SolveScratch) {
-        scratch.lane_pre.clear();
-        scratch.lane_pre.resize(lanes.len(), None);
-        let mut flat = std::mem::take(&mut scratch.fpre_flat);
-        let mut soa = std::mem::take(&mut scratch.fpre_soa);
-        flat.clear();
-        let mut ndim = 0usize;
-        let mut used: Vec<usize> = Vec::with_capacity(lanes.len());
-        for (j, r) in lanes.iter().enumerate() {
-            let Some(Contraction::Box(b)) = r else {
-                continue;
-            };
-            if b.is_empty() || b.ndim() == 0 {
-                continue;
-            }
-            if ndim == 0 {
-                ndim = b.ndim();
-            }
-            if b.ndim() != ndim {
-                continue;
-            }
-            let (l, r, _axis) = self.bisect_supported(b);
-            for d in b.dims() {
-                flat.push(d.midpoint());
-            }
-            for d in l.dims() {
-                flat.push(d.midpoint());
-            }
-            for d in r.dims() {
-                flat.push(d.midpoint());
-            }
-            used.push(j);
-        }
-        if !used.is_empty() {
-            let width = used.len() * 3;
-            let points: Vec<&[f64]> = flat.chunks_exact(ndim).collect();
-            soa.resize(self.ftape.len() * width, 0.0);
-            self.ftape.run_batch(width, &points, &mut soa);
-            for (t, &j) in used.iter().enumerate() {
-                // Midpoint check: every atom holds exactly (NaN fails).
-                let holds_mid = self.atoms.iter().all(|a| {
-                    let v = soa[a.froot as usize * width + 3 * t];
-                    !v.is_nan() && a.rel.holds(v)
-                });
-                // Split scores: worst signed violation per half midpoint
-                // (replicates `violation_score`, including NaN → +∞).
-                let score = |col: usize| -> f64 {
-                    let mut worst = 0.0f64;
-                    for a in &self.atoms {
-                        let v = soa[a.froot as usize * width + col];
-                        if v.is_nan() {
-                            return f64::INFINITY;
-                        }
-                        let signed = match a.rel {
-                            Rel::Le | Rel::Lt => v.max(0.0),
-                            Rel::Ge | Rel::Gt => (-v).max(0.0),
-                        };
-                        worst = worst.max(signed);
-                    }
-                    worst
-                };
-                scratch.lane_pre[j] = Some(LanePre {
-                    holds_mid,
-                    sl: score(3 * t + 1),
-                    sr: score(3 * t + 2),
-                });
-            }
-        }
-        scratch.fpre_flat = flat;
-        scratch.fpre_soa = soa;
-    }
 }
 
 /// Rigorous first-order enclosure of one atom's expression over `b`.
@@ -1078,97 +804,15 @@ pub(crate) fn improvement(before: &BoxDomain, after: &BoxDomain) -> f64 {
 /// Size a slot-file buffer without per-box reinitialization.
 ///
 /// Every tape pass is **write-before-read** (see `xcv_expr::itape`): a full
-/// forward pass overwrites every slot it will read, and partial passes
-/// (`forward_from`, masked `forward_batch` lanes) deliberately read the
+/// forward pass overwrites every slot it will read, and the dirty-slot
+/// passes of the rung-2 shaver (`forward_masked`) deliberately read the
 /// previous image. Refilling the buffer with [`Interval::ENTIRE`] per box —
 /// what a naive `vec![ENTIRE; n]` per call amounts to — is therefore pure
 /// wasted memset; only the *length* matters. The fill value here seeds
 /// newly grown slots and is never semantically observed.
 #[inline]
-pub(crate) fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
+fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
     buf.resize(len, Interval::ENTIRE);
-}
-
-/// A pool of parent slot-file snapshots for the batched solver's dirty-slot
-/// child evaluation: each split stores its contracted parent's pure forward
-/// image (plus the box it was evaluated over) for its two children, and the
-/// buffer is recycled once both children have consumed it. Buffers are
-/// reused across snapshots *and* solve calls, so steady-state batched
-/// solving allocates nothing here.
-#[derive(Debug, Default)]
-pub(crate) struct SnapPool {
-    vals: Vec<Vec<Interval>>,
-    boxes: Vec<Vec<Interval>>,
-    refs: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl SnapPool {
-    /// Drop all live snapshots (an early-returning solve leaves some), but
-    /// keep the buffers for reuse.
-    pub(crate) fn reset(&mut self) {
-        self.free.clear();
-        for (i, r) in self.refs.iter_mut().enumerate() {
-            *r = 0;
-            self.free.push(i as u32);
-        }
-    }
-
-    /// A fresh snapshot with `refs` outstanding consumers; its buffers are
-    /// cleared but retain capacity.
-    pub(crate) fn alloc(&mut self, refs: u32) -> u32 {
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.vals.push(Vec::new());
-                self.boxes.push(Vec::new());
-                self.refs.push(0);
-                (self.vals.len() - 1) as u32
-            }
-        };
-        self.refs[id as usize] = refs;
-        self.vals[id as usize].clear();
-        self.boxes[id as usize].clear();
-        id
-    }
-
-    pub(crate) fn store(&mut self, id: u32) -> (&mut Vec<Interval>, &mut Vec<Interval>) {
-        (&mut self.vals[id as usize], &mut self.boxes[id as usize])
-    }
-
-    /// The snapshot's slot file and the dims of the box it was evaluated on.
-    pub(crate) fn get(&self, id: u32) -> (&[Interval], &[Interval]) {
-        (&self.vals[id as usize], &self.boxes[id as usize])
-    }
-
-    /// One consumer done; recycle the buffers when the last lets go.
-    pub(crate) fn release(&mut self, id: u32) {
-        let r = &mut self.refs[id as usize];
-        debug_assert!(*r > 0);
-        *r -= 1;
-        if *r == 0 {
-            self.free.push(id);
-        }
-    }
-
-    /// Add `extra` consumers to a live snapshot. Snapshot-copy elision: a
-    /// split lane whose dirty-cone re-evaluation reproduced its parent's
-    /// image bitwise hands the parent snapshot straight to its children
-    /// instead of allocating a copy.
-    pub(crate) fn retain(&mut self, id: u32, extra: u32) {
-        debug_assert!(self.refs[id as usize] > 0);
-        self.refs[id as usize] += extra;
-    }
-}
-
-/// Precomputed per-lane f64 stage of `step_after_contract` (see
-/// [`CompiledFormula::lane_scores`]): midpoint feasibility and both
-/// child-half split scores.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LanePre {
-    pub(crate) holds_mid: bool,
-    pub(crate) sl: f64,
-    pub(crate) sr: f64,
 }
 
 /// Reusable per-worker mutable state for [`CompiledFormula`] operations.
@@ -1181,48 +825,18 @@ pub(crate) struct LanePre {
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// Slot file of the formula's shared interval tape.
-    pub(crate) ivals: Vec<Interval>,
+    ivals: Vec<Interval>,
     /// Slot file for the mean-value tapes (resized per atom).
     mvals: Vec<Interval>,
     /// Register file for the f64 atom tapes (resized per atom).
     fvals: Vec<f64>,
-    /// Bit patterns of the point `fvals` was last evaluated at, and the
-    /// [`CompiledFormula`] uid it belongs to (0 = invalid) — the key of the
-    /// incremental `run_ftape` cache. The cache is part of the batched
-    /// engine's incremental-evaluation machinery and only engages while
-    /// `fcache` is set (the scalar reference engine evaluates every point
-    /// in full, like the architecture it benchmarks against).
-    fpoint: Vec<u64>,
-    fpoint_uid: u64,
-    pub(crate) fcache: bool,
     /// Point-box domains for mean-value midpoint evaluation.
     point_doms: Vec<Interval>,
-    /// DFS work stack of the scalar branch-and-prune search:
+    /// DFS work stack of the branch-and-prune search:
     /// `(box, depth, pristine)` — `pristine` is the inherited
     /// no-ladder-ancestor flag (see `DeltaSolver::step_after_contract`).
     pub(crate) stack: Vec<(BoxDomain, u32, bool)>,
-    /// Structure-of-arrays slot file of the batched search
-    /// (`slots × batch_width`, lane-major per slot).
-    pub(crate) soa: Vec<Interval>,
-    /// Pure forward image of the current batch (the SoA before contraction
-    /// mutates it) — split lanes snapshot their column from here.
-    pub(crate) soa_pure: Vec<Interval>,
-    /// Per-lane dirty masks for the batched forward pass.
-    pub(crate) lane_dirty: Vec<u64>,
-    /// Per-lane liveness flags of the batched contraction rounds.
-    pub(crate) lane_alive: Vec<bool>,
-    /// Per-lane contraction results of the batched rounds.
-    pub(crate) lane_results: Vec<Option<Contraction>>,
-    /// Per-lane working boxes of the batched contraction rounds.
-    pub(crate) lane_current: Vec<BoxDomain>,
-    /// The batch's input boxes (cloned out of the stack nodes).
-    pub(crate) lane_boxes: Vec<BoxDomain>,
-    /// Parent forward-image snapshots for dirty-slot child evaluation.
-    pub(crate) snaps: SnapPool,
-    /// Work stack of the batched frontier search.
-    pub(crate) bstack: Vec<crate::solve::Node>,
-    /// Point box and slot file of the interval-certified midpoint check
-    /// (kept separate from `ivals`, whose contents other passes reuse).
+    /// Point box and slot file of the interval-certified midpoint check.
     cert_point: Vec<Interval>,
     cert_vals: Vec<Interval>,
     /// Working box of the rung-1 interval-Newton contractor.
@@ -1233,12 +847,6 @@ pub struct SolveScratch {
     shave_doms: Vec<Interval>,
     /// Slot file of the rung-2 3B shaver's forward passes.
     shave_vals: Vec<Interval>,
-    /// Flattened probe points of the batched lane-score pass (3 per lane).
-    fpre_flat: Vec<f64>,
-    /// SoA f64 register file of the batched lane-score pass.
-    fpre_soa: Vec<f64>,
-    /// Per-lane precomputed midpoint/split-score results.
-    pub(crate) lane_pre: Vec<Option<LanePre>>,
 }
 
 impl SolveScratch {
@@ -1247,11 +855,8 @@ impl SolveScratch {
     }
 
     /// The shared f64 buffer, for callers evaluating [`CompiledAtom`]s with
-    /// this scratch (e.g. ψ validation in the verifier). Handing the buffer
-    /// out invalidates the incremental `run_ftape` cache — another tape is
-    /// about to overwrite the registers.
+    /// this scratch (e.g. ψ validation in the verifier).
     pub fn f64_buf(&mut self) -> &mut Vec<f64> {
-        self.fpoint_uid = 0;
         &mut self.fvals
     }
 }

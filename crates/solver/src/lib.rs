@@ -20,7 +20,8 @@
 //!   time*: a shared [`xcv_expr::IntervalTape`] for the HC4 forward/backward
 //!   passes, per-atom f64 [`xcv_expr::Tape`]s for midpoint model checks and
 //!   branch scoring, and (lazily) the symbolic mean-value gradients;
-//! * [`DeltaSolver::solve_compiled`] — branch-and-prune over a *borrowed*
+//! * [`DeltaSolver::solve_compiled`] — depth-first branch-and-prune (the
+//!   solver's one search engine) over a *borrowed*
 //!   compiled formula plus a reusable per-worker [`SolveScratch`], with a
 //!   node *and* wall-clock budget, returning [`Outcome::Unsat`],
 //!   [`Outcome::DeltaSat`] or [`Outcome::Timeout`] — the same three-way
@@ -73,11 +74,10 @@
 //! # let _ = solver;
 //! ```
 //!
-//! Escalation is a pure per-box function driven through the shared
-//! `step_after_contract` step, so the scalar DFS and the batched frontier
-//! engine stay bit-identical at any batch width, and every ladder decision
-//! is replayable: Newton prunes/contractions and shaved slabs are recorded
-//! as [`TraceEvent`]s and serialize into `xcv-cert` certificates the
+//! Escalation is a pure per-box function of the search's one decision
+//! step, `step_after_contract`, and every ladder decision is replayable:
+//! Newton prunes/contractions and shaved slabs are recorded as
+//! [`TraceEvent`]s and serialize into `xcv-cert` certificates the
 //! solver-free checker re-derives. Campaigns opt in with
 //! `CampaignBuilder::escalation` (cheap pairs are demoted to rung 0 by the
 //! measured cost model).

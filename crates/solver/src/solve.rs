@@ -8,22 +8,19 @@
 //! [`DeltaSolver::solve`]`(&BoxDomain, &Formula)` signature survives as a
 //! thin compile-then-solve wrapper for one-shot callers and tests.
 //!
-//! Per box, both engines (scalar DFS and batched frontier) funnel through
-//! one decision step, `step_after_contract`: HC4 contraction first, then —
-//! when the [`Escalation`] ladder is on and the box stalled — rung-1
+//! The search is a depth-first walk over a stack of boxes. Per box, one
+//! decision step, `step_after_contract`, runs after HC4 contraction: when
+//! the [`Escalation`] ladder is on and the box stalled, rung-1
 //! interval-Newton and rung-2 3B slab shaving, then the midpoint model
-//! check, δ-decision, and axis-aware bisection. Keeping the ladder inside
-//! the shared step is what makes scalar and batched runs bit-identical at
-//! every width, and what lets one [`TraceEvent`] stream (one terminal
-//! event per node, intermediates for Newton/shave) serve trace replay and
-//! certificate emission alike.
+//! check, δ-decision, and axis-aware bisection. The same step records the
+//! [`TraceEvent`] stream (one terminal event per node, intermediates for
+//! Newton/shave) that trace replay and certificate emission consume.
 
 use crate::boxdom::BoxDomain;
 use crate::compile::{CompiledFormula, SolveScratch};
 use crate::contract::Contraction;
 use crate::formula::Formula;
 use std::time::Instant;
-use xcv_interval::Interval;
 
 /// Result of a [`DeltaSolver::solve`] call — the same three-way interface
 /// the paper's Algorithm 1 consumes from dReal.
@@ -101,8 +98,7 @@ impl SolveStats {
 /// falls below [`Escalation::stall_gain`] escalates to rung 1 —
 /// interval-Newton (Gauss–Seidel) sweeps over the compiled gradient tapes
 /// — and, still stalled, to rung 2 — 3B slab shaving at the box faces with
-/// dirty-cone re-evaluation. Escalation is a pure per-box function, so the
-/// scalar DFS and the batched frontier stay bit-identical at any width.
+/// dirty-cone re-evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Escalation {
     /// Highest rung a box may escalate to (`0` = ladder off, the default;
@@ -174,8 +170,7 @@ impl Default for Escalation {
     }
 }
 
-/// The δ-complete solver: HC4 contraction + branch-and-prune, with a scalar
-/// DFS and a batched frontier engine that are observationally identical.
+/// The δ-complete solver: HC4 contraction + depth-first branch-and-prune.
 #[derive(Debug, Clone)]
 pub struct DeltaSolver {
     /// Numerical relaxation of atom bounds (dReal's δ); also the box-width
@@ -185,19 +180,10 @@ pub struct DeltaSolver {
     /// Enable the mean-value-form infeasibility test as a second pruning
     /// signal (see [`crate::meanvalue::MeanValue`]); off by default.
     pub mean_value: bool,
-    /// Frontier batch width: how many boxes one forward pass evaluates at
-    /// once. `1` (the default) runs the scalar DFS; larger widths run the
-    /// batched engine, which speculatively evaluates up to this many
-    /// pending boxes per structure-of-arrays tape pass and re-evaluates
-    /// children dirty-slot-only from their parent's forward image. Outcomes,
-    /// models, and search statistics are identical at every width — only
-    /// the wall-clock changes.
-    pub batch_width: usize,
     /// The contractor escalation ladder for stalled boxes; off by default.
-    /// Like `batch_width`, any setting produces identical results across
-    /// engines — unlike `batch_width`, it changes *which* boxes the search
-    /// visits (stalled boxes contract harder instead of splitting), so it
-    /// turns rung-0 timeouts into decisions.
+    /// It changes *which* boxes the search visits (stalled boxes contract
+    /// harder instead of splitting), so it turns rung-0 timeouts into
+    /// decisions.
     pub escalation: Escalation,
 }
 
@@ -207,26 +193,12 @@ impl Default for DeltaSolver {
             delta: 1e-3,
             budget: SolveBudget::default(),
             mean_value: false,
-            batch_width: 1,
             escalation: Escalation::off(),
         }
     }
 }
 
-/// The dirty-mask bit of box axis `i` (saturates above 64 variables, like
-/// the tape's dependency bitsets).
-#[inline]
-fn axis_bit(i: usize) -> u64 {
-    if i < 64 {
-        1 << i
-    } else {
-        u64::MAX
-    }
-}
-
-/// The decision the search takes on one contracted box. Shared verbatim
-/// between the scalar DFS and the batched frontier, so the two engines
-/// cannot drift.
+/// The decision the search takes on one contracted box.
 enum BoxStep {
     /// The box contains no solution.
     Pruned,
@@ -238,11 +210,10 @@ enum BoxStep {
     /// δ-SAT with this model (exact midpoint hit or width-floor decision).
     Sat(Vec<f64>),
     /// Undecided: halves in search order (`first` is explored first).
-    /// `parent` is the contracted box they were bisected from and `axis`
-    /// the bisected dimension — the batched engine's snapshot-refresh
-    /// heuristic needs both; the scalar DFS ignores them. `low_first` says
-    /// whether `first` is the lower half, which is all a trace replay needs
-    /// to reconstruct the exploration order.
+    /// `parent` is the contracted box they were bisected from, `axis` the
+    /// bisected dimension, and `low_first` whether `first` is the lower
+    /// half — all a trace replay needs to reconstruct the exploration
+    /// order.
     Split {
         first: BoxDomain,
         second: BoxDomain,
@@ -257,7 +228,7 @@ enum BoxStep {
     },
 }
 
-/// One step of a traced scalar search, recorded at the moment the popped
+/// One step of a traced search, recorded at the moment the popped
 /// box's decision is taken. Together with the root box, the sequence of
 /// events reconstructs the entire explored cover: a replay maintains the
 /// same DFS stack, so an independent checker (the `xcv-cert` crate) can
@@ -310,49 +281,12 @@ pub struct SolveTrace {
     pub complete: bool,
 }
 
-/// What the batched engine decided for one box — [`BoxStep`] with the
-/// children laid out in push order plus the parent snapshot they evaluate
-/// from.
-#[derive(Debug)]
-pub(crate) enum BoxRes {
-    Pruned,
-    Sat(Vec<f64>),
-    /// Children in *push order* (the preferred half last, popped first).
-    /// `snap` is the pool id of the parent's pure forward image;
-    /// `pristine` is the children's inherited no-ladder-ancestor flag.
-    Split {
-        children: Vec<BoxDomain>,
-        snap: Option<u32>,
-        pristine: bool,
-    },
-}
-
-#[derive(Debug)]
-pub(crate) enum NodeState {
-    /// Awaiting evaluation; `parent` is the snapshot to seed the lane from
-    /// (`None` for the root: full forward pass).
-    Raw { parent: Option<u32> },
-    /// Speculatively evaluated; consumed when the node reaches the top.
-    Done(BoxRes),
-}
-
-/// One entry of the batched frontier's work stack.
-#[derive(Debug)]
-pub(crate) struct Node {
-    pub(crate) b: BoxDomain,
-    pub(crate) depth: u32,
-    /// No ancestor was ladder-modified (see `step_after_contract`).
-    pub(crate) pristine: bool,
-    pub(crate) state: NodeState,
-}
-
 impl DeltaSolver {
     pub fn new(delta: f64, budget: SolveBudget) -> Self {
         DeltaSolver {
             delta,
             budget,
             mean_value: false,
-            batch_width: 1,
             escalation: Escalation::off(),
         }
     }
@@ -360,13 +294,6 @@ impl DeltaSolver {
     /// Enable or disable the mean-value pruning test.
     pub fn with_mean_value(mut self, on: bool) -> Self {
         self.mean_value = on;
-        self
-    }
-
-    /// Set the frontier batch width (`1` = scalar DFS; clamped to at least
-    /// 1). Any width produces identical outcomes and statistics.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width.max(1);
         self
     }
 
@@ -378,10 +305,10 @@ impl DeltaSolver {
 
     /// A stable 64-bit fingerprint of every field that can change a solve's
     /// *answer or coverage*: δ, both budget axes, the mean-value switch,
-    /// the batch width, and the full escalation ladder. Two solvers with
-    /// equal fingerprints produce bit-identical outcomes on any compiled
-    /// problem, so memoized result stores key on this (FNV-1a over the
-    /// exact bit patterns — no float rounding in the key).
+    /// and the full escalation ladder. Two solvers with equal fingerprints
+    /// produce bit-identical outcomes on any compiled problem, so memoized
+    /// result stores key on this (FNV-1a over the exact bit patterns — no
+    /// float rounding in the key).
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -396,7 +323,6 @@ impl DeltaSolver {
         eat(self.budget.max_nodes);
         eat(self.budget.max_millis);
         eat(u64::from(self.mean_value));
-        eat(self.batch_width as u64);
         let esc = &self.escalation;
         eat(u64::from(esc.max_rung));
         eat(esc.stall_gain.to_bits());
@@ -436,27 +362,18 @@ impl DeltaSolver {
         self.solve_compiled_with_stats(domain, compiled, scratch).0
     }
 
-    /// [`DeltaSolver::solve_compiled`] with search statistics. Dispatches to
-    /// the batched frontier engine when [`DeltaSolver::batch_width`] exceeds
-    /// 1; both engines visit the same boxes in the same order and return
-    /// identical outcomes and statistics.
+    /// [`DeltaSolver::solve_compiled`] with search statistics.
     pub fn solve_compiled_with_stats(
         &self,
         domain: &BoxDomain,
         compiled: &CompiledFormula,
         scratch: &mut SolveScratch,
     ) -> (Outcome, SolveStats) {
-        if self.batch_width > 1 {
-            return self.solve_batched_with_stats(domain, compiled, scratch);
-        }
-        self.solve_scalar(domain, compiled, scratch, None)
+        self.search(domain, compiled, scratch, None)
     }
 
     /// [`DeltaSolver::solve_compiled_with_stats`] with the per-node search
-    /// events recorded for certificate emission. Traced solving always runs
-    /// the scalar DFS (the batched engine visits the same boxes in the same
-    /// order, so the trace would be identical — recording from the
-    /// reference engine keeps the hook trivial).
+    /// events recorded for certificate emission.
     pub fn solve_compiled_traced(
         &self,
         domain: &BoxDomain,
@@ -468,14 +385,14 @@ impl DeltaSolver {
             used_mean_value: self.mean_value,
             complete: false,
         };
-        let (outcome, stats) = self.solve_scalar(domain, compiled, scratch, Some(&mut trace));
+        let (outcome, stats) = self.search(domain, compiled, scratch, Some(&mut trace));
         trace.complete = !matches!(outcome, Outcome::Timeout);
         (outcome, stats, trace)
     }
 
-    /// The scalar DFS, optionally recording one [`TraceEvent`] per visited
-    /// node.
-    fn solve_scalar(
+    /// The depth-first branch-and-prune search, optionally recording one
+    /// [`TraceEvent`] per visited node.
+    fn search(
         &self,
         domain: &BoxDomain,
         compiled: &CompiledFormula,
@@ -487,7 +404,6 @@ impl DeltaSolver {
             return (Outcome::Unsat, stats);
         }
         let start = Instant::now();
-        scratch.fcache = false;
         scratch.stack.clear();
         scratch.stack.push((domain.clone(), 0, true));
         // Supported-axis boxes narrower than this are δ-decided.
@@ -508,7 +424,6 @@ impl DeltaSolver {
                 compiled,
                 &b,
                 contraction,
-                None,
                 scratch,
                 width_floor,
                 depth,
@@ -565,14 +480,10 @@ impl DeltaSolver {
     }
 
     /// The per-box decision of the branch-and-prune search, applied after
-    /// contraction — one implementation behind the scalar DFS *and* the
-    /// batched frontier, so the bisection policy, δ-decision, pruning
-    /// semantics, and the escalation ladder cannot drift between the two
-    /// engines. `b` is the popped (pre-contraction) box — the ladder's
-    /// stall detector measures the contraction gain against it. `pre`
-    /// optionally carries the batched engine's precomputed midpoint/score
-    /// stage; it is discarded whenever a later rung modifies the box.
-    /// `events` receives the ladder's intermediate trace events (every
+    /// contraction: the escalation ladder, the midpoint model check, the
+    /// δ-decision, and bisection. `b` is the popped (pre-contraction) box —
+    /// the ladder's stall detector measures the contraction gain against
+    /// it. `events` receives the ladder's intermediate trace events (every
     /// terminal event — `Pruned`, `NewtonPruned`, `Split`, `Sat` — stays
     /// with the caller). `pristine` says no ancestor box was modified by a
     /// ladder rung: such a node's geometry — and therefore its midpoint
@@ -587,7 +498,6 @@ impl DeltaSolver {
         compiled: &CompiledFormula,
         b: &BoxDomain,
         contraction: Contraction,
-        pre: Option<crate::compile::LanePre>,
         scratch: &mut SolveScratch,
         width_floor: f64,
         depth: u32,
@@ -601,21 +511,13 @@ impl DeltaSolver {
         if contracted.is_empty() {
             return BoxStep::Pruned;
         }
-        // `pre` was computed from the HC4 box; any further modification
-        // (mean-value, ladder rungs) invalidates it.
-        let mut modified = false;
         let mut contracted = if self.mean_value {
             match compiled.mv_contract(&contracted, scratch) {
                 None => return BoxStep::Pruned,
                 Some(nb) if compiled.mv_certainly_infeasible(&nb, scratch) => {
                     return BoxStep::Pruned
                 }
-                Some(nb) => {
-                    if nb != contracted {
-                        modified = true;
-                    }
-                    nb
-                }
+                Some(nb) => nb,
             }
         } else {
             contracted
@@ -652,7 +554,6 @@ impl DeltaSolver {
                                     contracted: nb.clone(),
                                 });
                             }
-                            modified = true;
                             laddered = true;
                             contracted = nb;
                         }
@@ -678,7 +579,6 @@ impl DeltaSolver {
                         }
                     },
                 ) {
-                    modified = true;
                     laddered = true;
                     contracted = nb;
                 }
@@ -689,7 +589,6 @@ impl DeltaSolver {
         // rung-0 path — the flip-prevention detours only guard geometry the
         // ladder *shifted*.
         let pristine = pristine && !laddered;
-        let pre = pre.filter(|_| !modified);
         // Fast model check: an exact solution at the midpoint settles it.
         // With the ladder on, the f64 claim is only a gate: it must be
         // confirmed by an outward-rounded interval evaluation, because the
@@ -698,11 +597,9 @@ impl DeltaSolver {
         // into a spurious δ-Sat (observed near the `ln rs` cancellation of
         // the correlation functionals).
         let mid = contracted.midpoint();
-        let holds = match pre {
-            Some(p) => p.holds_mid,
-            None => compiled.holds_at(&mid, scratch),
-        };
-        if holds && (pristine || compiled.holds_at_certified(&mid, scratch)) {
+        if compiled.holds_at(&mid, scratch)
+            && (pristine || compiled.holds_at_certified(&mid, scratch))
+        {
             return BoxStep::Sat(mid);
         }
         // δ-decision on small boxes: contraction could not rule the box out,
@@ -744,16 +641,10 @@ impl DeltaSolver {
         // Branch on the widest supported dimension (never an axis the
         // expression does not mention); search the half whose midpoint is
         // closer to satisfying the formula first. Scoring runs on the
-        // compiled f64 tapes (or comes precomputed from the batched
-        // lane-score pass — bit-identical by construction).
+        // compiled f64 tapes.
         let (l, r, axis) = compiled.bisect_supported(&contracted);
-        let (sl, sr) = match pre {
-            Some(p) => (p.sl, p.sr),
-            None => (
-                compiled.violation_score(&l.midpoint(), scratch),
-                compiled.violation_score(&r.midpoint(), scratch),
-            ),
-        };
+        let sl = compiled.violation_score(&l.midpoint(), scratch);
+        let sr = compiled.violation_score(&r.midpoint(), scratch);
         if sl <= sr {
             BoxStep::Split {
                 first: l,
@@ -773,336 +664,6 @@ impl DeltaSolver {
                 pristine,
             }
         }
-    }
-
-    /// The batched frontier engine: identical search, batched tape passes.
-    ///
-    /// Per-box evaluation (contract → mean-value → midpoint check →
-    /// δ-decision → bisect + score) is a pure function of the box, so the
-    /// engine may evaluate boxes *speculatively*: it takes the topmost
-    /// `batch_width` pending boxes of the DFS stack, seeds each lane either
-    /// for a full forward pass (the root) or dirty-slot re-evaluation from
-    /// its parent's forward image (every child — only the slots depending
-    /// on axes the child actually changed are recomputed), runs **one**
-    /// SoA forward pass over all lanes, and finishes contraction per
-    /// surviving lane. Results are then *consumed* strictly in DFS order
-    /// with exactly the scalar bookkeeping — node counts, budget checks,
-    /// early returns — so outcomes and statistics match the scalar engine
-    /// bit for bit; speculation only ever wastes work (bounded by one
-    /// batch) when a δ-SAT or timeout cuts the search short.
-    fn solve_batched_with_stats(
-        &self,
-        domain: &BoxDomain,
-        compiled: &CompiledFormula,
-        scratch: &mut SolveScratch,
-    ) -> (Outcome, SolveStats) {
-        let mut stats = SolveStats::default();
-        if domain.is_empty() {
-            return (Outcome::Unsat, stats);
-        }
-        let start = Instant::now();
-        let width_floor = self.delta.max(1e-12);
-        // The incremental f64 point cache belongs to the batched engine's
-        // dirty-evaluation machinery (the scalar engine stays the plain
-        // reference it is benchmarked against).
-        scratch.fcache = true;
-        scratch.snaps.reset();
-        let mut stack = std::mem::take(&mut scratch.bstack);
-        stack.clear();
-        stack.push(Node {
-            b: domain.clone(),
-            depth: 0,
-            pristine: true,
-            state: NodeState::Raw { parent: None },
-        });
-        let outcome = loop {
-            match stack.last() {
-                None => break Outcome::Unsat,
-                Some(n) if matches!(n.state, NodeState::Raw { .. }) => {
-                    // Ramp the batch width up with search depth-in-nodes:
-                    // every evaluation beyond what the search consumes is
-                    // speculative, so an early δ-SAT (very common on easy
-                    // boxes) would waste up to a full batch of work. The
-                    // ramp bounds that waste at ~half the consumed nodes
-                    // while long searches — where batching actually pays —
-                    // still reach the full width almost immediately.
-                    let cap = (1 + stats.nodes as usize / 2).min(self.batch_width);
-                    self.process_batch(compiled, &mut stack, scratch, width_floor, cap);
-                }
-                _ => {}
-            }
-            let node = stack.pop().expect("checked non-empty above");
-            stats.nodes += 1;
-            stats.max_depth = stats.max_depth.max(node.depth);
-            if stats.nodes > self.budget.max_nodes
-                || (stats.nodes % 64 == 0
-                    && start.elapsed().as_millis() > u128::from(self.budget.max_millis))
-            {
-                break Outcome::Timeout;
-            }
-            let NodeState::Done(res) = node.state else {
-                unreachable!("the batch pass evaluates the stack top");
-            };
-            match res {
-                BoxRes::Pruned => stats.pruned += 1,
-                BoxRes::Sat(mid) => break Outcome::DeltaSat(mid),
-                BoxRes::Split {
-                    children,
-                    snap,
-                    pristine,
-                } => {
-                    stats.branched += 1;
-                    for cb in children {
-                        stack.push(Node {
-                            b: cb,
-                            depth: node.depth + 1,
-                            pristine,
-                            state: NodeState::Raw { parent: snap },
-                        });
-                    }
-                }
-            }
-        };
-        scratch.bstack = stack;
-        (outcome, stats)
-    }
-
-    /// Evaluate the topmost pending boxes of the stack (up to
-    /// `batch_width`) in one batched forward pass, leaving each as
-    /// [`NodeState::Done`].
-    fn process_batch(
-        &self,
-        compiled: &CompiledFormula,
-        stack: &mut [Node],
-        scratch: &mut SolveScratch,
-        width_floor: f64,
-        width_cap: usize,
-    ) {
-        let slots = compiled.itape().len();
-        // Lanes: stack indices of the topmost Raw nodes. Entries deeper than
-        // the top are speculative — they may be consumed later or never
-        // (early δ-SAT/timeout), but their evaluation is pure either way.
-        let mut lanes: Vec<usize> = Vec::with_capacity(width_cap);
-        for idx in (0..stack.len()).rev() {
-            if matches!(stack[idx].state, NodeState::Raw { .. }) {
-                lanes.push(idx);
-                if lanes.len() == width_cap {
-                    break;
-                }
-            }
-        }
-        let width = lanes.len();
-        debug_assert!(width > 0, "caller saw a Raw top");
-        let mut soa = std::mem::take(&mut scratch.soa);
-        crate::compile::ensure_slots(&mut soa, slots * width);
-        let mut dirty = std::mem::take(&mut scratch.lane_dirty);
-        dirty.clear();
-        dirty.resize(width, u64::MAX);
-        // Seed child lanes from their parent's forward image; the dirty mask
-        // is every axis on which the child's box differs from the box the
-        // snapshot was evaluated over (the split axis plus whatever the
-        // parent's contraction narrowed).
-        let mut parents: Vec<Option<u32>> = vec![None; width];
-        for (j, &idx) in lanes.iter().enumerate() {
-            let NodeState::Raw { parent } = stack[idx].state else {
-                unreachable!("lane selection")
-            };
-            parents[j] = parent;
-            if let Some(snap) = parent {
-                let (vals, pbox) = scratch.snaps.get(snap);
-                let mut mask = 0u64;
-                for (i, (cd, pd)) in stack[idx].b.dims().iter().zip(pbox).enumerate() {
-                    if cd != pd {
-                        mask |= axis_bit(i);
-                    }
-                }
-                dirty[j] = mask;
-                #[cfg(feature = "batch-debug")]
-                {
-                    use std::sync::atomic::{AtomicU64, Ordering};
-                    static LANES: AtomicU64 = AtomicU64::new(0);
-                    static CONE: AtomicU64 = AtomicU64::new(0);
-                    static FULL: AtomicU64 = AtomicU64::new(0);
-                    let cone = compiled.itape().cone_count(mask);
-                    let l = LANES.fetch_add(1, Ordering::Relaxed) + 1;
-                    let c = CONE.fetch_add(cone as u64, Ordering::Relaxed) + cone as u64;
-                    let f = FULL.fetch_add(slots as u64, Ordering::Relaxed) + slots as u64;
-                    if l % 5000 == 0 {
-                        eprintln!(
-                            "[batch-debug] {} child lanes, avg dirty cone {:.1}%",
-                            l,
-                            100.0 * c as f64 / f as f64
-                        );
-                    }
-                }
-                for i in 0..slots {
-                    soa[i * width + j] = vals[i];
-                }
-            }
-        }
-        // Parent references are released at the *end* of the batch (not
-        // here): sibling lanes share a snapshot, and a split lane may alias
-        // its parent snapshot for its own children (snapshot-copy elision).
-        // One instruction decode per slot serves every lane.
-        let domains: Vec<&[Interval]> = lanes.iter().map(|&idx| stack[idx].b.dims()).collect();
-        compiled
-            .itape()
-            .forward_batch(width, &domains, &dirty, &mut soa);
-        drop(domains);
-        // Keep the pure forward image around — the contraction rounds
-        // mutate the SoA in place, and split lanes snapshot their pure
-        // column for their children's dirty-slot passes.
-        let mut pure = std::mem::take(&mut scratch.soa_pure);
-        pure.clear();
-        pure.extend_from_slice(&soa[..slots * width]);
-        // Batched HC4 rounds across all lanes (instruction-outer sweeps).
-        let mut boxes = std::mem::take(&mut scratch.lane_boxes);
-        boxes.clear();
-        boxes.extend(lanes.iter().map(|&idx| stack[idx].b.clone()));
-        let mut alive = std::mem::take(&mut scratch.lane_alive);
-        let mut results = std::mem::take(&mut scratch.lane_results);
-        let mut current = std::mem::take(&mut scratch.lane_current);
-        compiled.contract_batch(
-            &boxes,
-            width,
-            &mut soa[..slots * width],
-            &mut alive,
-            &mut results,
-            &mut current,
-        );
-        // Satellite-2 pass: one batched f64 tape run precomputes every
-        // surviving lane's midpoint check and split scores.
-        compiled.lane_scores(&results, scratch);
-        let mut pres = std::mem::take(&mut scratch.lane_pre);
-        // Take the shared per-box decision lane by lane.
-        for (j, &idx) in lanes.iter().enumerate() {
-            let b = &boxes[j];
-            let contraction = results[j]
-                .take()
-                .expect("contract_batch decides every lane");
-            let pre = pres[j].take();
-            let step = self.step_after_contract(
-                compiled,
-                b,
-                contraction,
-                pre,
-                scratch,
-                width_floor,
-                stack[idx].depth,
-                stack[idx].pristine,
-                None,
-            );
-            let res = match step {
-                BoxStep::Pruned | BoxStep::NewtonPruned => BoxRes::Pruned,
-                BoxStep::Sat(mid) => BoxRes::Sat(mid),
-                BoxStep::Split {
-                    first,
-                    second,
-                    parent,
-                    axis,
-                    low_first: _,
-                    pristine,
-                } => {
-                    let mut children = Vec::with_capacity(2);
-                    if !second.is_empty() {
-                        children.push(second);
-                    }
-                    if !first.is_empty() {
-                        children.push(first);
-                    }
-                    let snap = if children.is_empty() {
-                        None
-                    } else {
-                        // Contraction-aware refresh: children are halves of
-                        // the *contracted* box, so against the raw image
-                        // they would re-evaluate every contracted axis'
-                        // cone — per child. Advancing the snapshot to the
-                        // contracted box once (a masked partial pass)
-                        // leaves each child only the split-axis cone. Do it
-                        // exactly when the weighted cone costs say sharing
-                        // wins: 2·cost(C∪S) > cost(C) + 2·cost(S).
-                        let mut contraction_mask = 0u64;
-                        for (i, (bd, pd)) in b.dims().iter().zip(parent.dims()).enumerate() {
-                            if bd != pd {
-                                contraction_mask |= axis_bit(i);
-                            }
-                        }
-                        let split_mask = axis_bit(axis as usize);
-                        let refresh = contraction_mask != 0 && {
-                            let both = compiled.cone_cost(contraction_mask | split_mask);
-                            2.0 * both
-                                > compiled.cone_cost(contraction_mask)
-                                    + 2.0 * compiled.cone_cost(split_mask)
-                        };
-                        // Snapshot-copy elision: when the lane was seeded
-                        // from a parent snapshot and its dirty-cone
-                        // re-evaluation reproduced that image bitwise
-                        // (common on saturated min/max/clamp cones), the
-                        // children can consume the parent snapshot directly
-                        // — the seeded slots were copied verbatim and the
-                        // recomputed cone came out unchanged, so the stored
-                        // column would equal the parent's. Skip the copy
-                        // and bump the parent's refcount instead.
-                        let alias = (!refresh).then_some(parents[j]).flatten().filter(|&pid| {
-                            let (pvals, _) = scratch.snaps.get(pid);
-                            let deps = compiled.itape().deps();
-                            let m = dirty[j];
-                            (0..slots).all(|i| {
-                                deps[i] & m == 0 || {
-                                    let a = pure[i * width + j];
-                                    let p = pvals[i];
-                                    a.lo.to_bits() == p.lo.to_bits()
-                                        && a.hi.to_bits() == p.hi.to_bits()
-                                }
-                            })
-                        });
-                        match alias {
-                            Some(pid) => {
-                                scratch.snaps.retain(pid, children.len() as u32);
-                                Some(pid)
-                            }
-                            None => {
-                                // Snapshot the lane's *pure* forward image
-                                // for the children's dirty-slot passes.
-                                let id = scratch.snaps.alloc(children.len() as u32);
-                                let (vals, pbox) = scratch.snaps.store(id);
-                                vals.extend((0..slots).map(|i| pure[i * width + j]));
-                                if refresh {
-                                    compiled.itape().forward_masked(
-                                        contraction_mask,
-                                        parent.dims(),
-                                        vals,
-                                    );
-                                    pbox.extend_from_slice(parent.dims());
-                                } else {
-                                    pbox.extend_from_slice(b.dims());
-                                }
-                                Some(id)
-                            }
-                        }
-                    };
-                    BoxRes::Split {
-                        children,
-                        snap,
-                        pristine,
-                    }
-                }
-            };
-            stack[idx].state = NodeState::Done(res);
-        }
-        // Now that no lane can alias them anymore, release the parent
-        // snapshots every lane seeded from.
-        for pid in parents.iter().take(width).copied().flatten() {
-            scratch.snaps.release(pid);
-        }
-        scratch.lane_pre = pres;
-        scratch.soa = soa;
-        scratch.soa_pure = pure;
-        scratch.lane_dirty = dirty;
-        scratch.lane_boxes = boxes;
-        scratch.lane_alive = alive;
-        scratch.lane_results = results;
-        scratch.lane_current = current;
     }
 }
 
@@ -1363,60 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_widths_agree_with_scalar() {
-        // Every batch width must reproduce the scalar DFS exactly: outcome,
-        // model, and every statistic, across sat/unsat/timeout cases.
-        let cases = [
-            Formula::single(Atom::new(var(0).powi(2) + var(1).powi(2) + 1.0, Rel::Le)),
-            Formula::new(vec![
-                Atom::new(var(0).powi(2) - 4.0, Rel::Le),
-                Atom::new(var(0) - var(1) - 1.0, Rel::Ge),
-            ]),
-            Formula::new(vec![
-                Atom::new(var(0).exp() - var(1).powi(2) - 1.0, Rel::Ge),
-                Atom::new(var(0).exp() - var(1).powi(2) - 1.0, Rel::Le),
-            ]),
-        ];
-        let b = BoxDomain::from_bounds(&[(-3.0, 3.0), (-3.0, 3.0)]);
-        for (i, f) in cases.iter().enumerate() {
-            for budget in [25, 20_000] {
-                let compiled = CompiledFormula::compile(f);
-                let mut scratch = SolveScratch::new();
-                let scalar = DeltaSolver::new(1e-3, SolveBudget::nodes(budget));
-                let (want, want_stats) =
-                    scalar.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-                for w in [2, 3, 8, 64] {
-                    let batched = scalar.clone().with_batch_width(w);
-                    let (got, got_stats) =
-                        batched.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-                    assert_eq!(want, got, "case {i}, width {w}, budget {budget}");
-                    let k = |s: &SolveStats| (s.nodes, s.pruned, s.branched, s.max_depth);
-                    assert_eq!(
-                        k(&want_stats),
-                        k(&got_stats),
-                        "case {i}, width {w}, budget {budget}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_mean_value_agrees_with_scalar() {
-        let f = Formula::single(Atom::new(var(0) - var(0).powi(2) - 0.3, Rel::Ge));
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        let b = BoxDomain::from_bounds(&[(0.0, 1.0)]);
-        let s = solver().with_mean_value(true);
-        let (want, ws) = s.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        let (got, gs) =
-            s.with_batch_width(4)
-                .solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        assert_eq!(want, got);
-        assert_eq!(ws.nodes, gs.nodes);
-    }
-
-    #[test]
     fn unsupported_axes_never_split() {
         // The formula mentions only x0; the box carries a wide unused x1.
         // The δ-solver must decide without ever splitting (or δ-gating on)
@@ -1437,66 +944,6 @@ mod tests {
                 assert_eq!(m[1], 0.0, "unmentioned axis stays at the midpoint");
             }
             other => panic!("expected DeltaSat, got {other:?}"),
-        }
-        // Batched path agrees.
-        let (scalar, st) = s.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        let (batched, bt) =
-            s.with_batch_width(8)
-                .solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        assert_eq!(scalar, batched);
-        assert_eq!(st.nodes, bt.nodes);
-    }
-
-    #[test]
-    fn ladder_widths_agree_with_scalar() {
-        // The escalation ladder is a pure per-box function, so scalar and
-        // batched engines must stay bit-identical at any width with any
-        // rung enabled: outcomes, models, and statistics.
-        let cases = [
-            Formula::single(Atom::new(var(0).powi(2) + var(1).powi(2) + 1.0, Rel::Le)),
-            Formula::new(vec![
-                Atom::new(var(0).powi(2) - 4.0, Rel::Le),
-                Atom::new(var(0) - var(1) - 1.0, Rel::Ge),
-            ]),
-            Formula::new(vec![
-                Atom::new(var(0).exp() - var(1).powi(2) - 1.0, Rel::Ge),
-                Atom::new(var(0).exp() - var(1).powi(2) - 1.0, Rel::Le),
-            ]),
-            Formula::single(Atom::new(
-                var(0) - var(0).powi(2) - var(1).powi(2) - 0.3,
-                Rel::Ge,
-            )),
-        ];
-        let b = BoxDomain::from_bounds(&[(-3.0, 3.0), (-3.0, 3.0)]);
-        for esc in [
-            Escalation {
-                max_rung: 1,
-                ..Escalation::full()
-            },
-            Escalation::full(),
-        ] {
-            for (i, f) in cases.iter().enumerate() {
-                for budget in [25, 20_000] {
-                    let compiled = CompiledFormula::compile(f);
-                    let mut scratch = SolveScratch::new();
-                    let scalar =
-                        DeltaSolver::new(1e-3, SolveBudget::nodes(budget)).with_escalation(esc);
-                    let (want, want_stats) =
-                        scalar.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-                    for w in [2, 8] {
-                        let batched = scalar.clone().with_batch_width(w);
-                        let (got, got_stats) =
-                            batched.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-                        assert_eq!(want, got, "case {i}, width {w}, budget {budget}");
-                        let k = |s: &SolveStats| (s.nodes, s.pruned, s.branched, s.max_depth);
-                        assert_eq!(
-                            k(&want_stats),
-                            k(&got_stats),
-                            "case {i}, width {w}, budget {budget}"
-                        );
-                    }
-                }
-            }
         }
     }
 

@@ -21,11 +21,9 @@
 //!   propagation + branch-and-prune), the dReal substitute, organized as
 //!   compile-once solve sessions: each formula is lowered to flat interval
 //!   and f64 tapes a single time, and the whole box tree is solved against
-//!   that shared program with per-thread scratch buffers. Two
-//!   observationally identical engines run the search — the scalar DFS and
-//!   a **batched frontier** (`DeltaSolver::batch_width`) that evaluates up
-//!   to B boxes per structure-of-arrays tape pass and re-evaluates
-//!   children dirty-slot-only from their parent's forward image;
+//!   that shared program with per-thread scratch buffers. One depth-first
+//!   search engine runs every solve, and the certificates replay exactly
+//!   the search it ran;
 //! * [`functionals`] — the open functional registry: a [`prelude::Functional`]
 //!   trait (symbolic DAGs + scalar closed forms + metadata + a
 //!   `var_space()` describing its input axes), the paper's five DFAs as
@@ -106,33 +104,17 @@
 //! and the `solver_bench` binary tracks the resulting throughput in
 //! `BENCH_solver.json`.
 //!
-//! ## Batched branch-and-prune
+//! ## Branch-and-prune
 //!
-//! The solve loop itself runs in one of two engines that visit the same
-//! boxes in the same order and return bit-identical outcomes and
-//! statistics:
-//!
-//! * the **scalar DFS** (`batch_width == 1`, the default) — one full tape
-//!   pass per box;
-//! * the **batched frontier** (`DeltaSolver::with_batch_width(B)`, or
-//!   [`prelude::CampaignBuilder::batch_width`] for a whole campaign) —
-//!   speculatively evaluates up to B pending boxes per
-//!   structure-of-arrays tape pass (`IntervalTape::forward_batch`, backed
-//!   by the `xcv_interval::lanes` slice kernels, with instruction-outer
-//!   `backward_batch`/`forward_meet_batch` HC4 sweeps), and re-evaluates
-//!   each child box *dirty-slot only*: per-slot variable dependency
-//!   bitsets computed at compile time (`IntervalTape::deps`) mean that
-//!   after bisecting axis `k`, only the slots downstream of the axes that
-//!   actually changed are recomputed from the parent's forward image.
-//!
-//! Bisection itself is support-aware in both engines: a cell never splits
-//! (nor δ-gates on) an axis its expression does not mention, so a ζ-free
-//! atom on a 4-D spin domain no longer halves ζ at every level. The
-//! `batched` entry of `BENCH_solver.json` (schema v5) tracks the batched
-//! engine's wall-clock against the scalar session with identity of every
-//! tally asserted at generation time, and `tests/solver_batched.rs` pins
-//! lane-for-lane equivalence on random tapes plus the full extended and
-//! spin matrices.
+//! The solve loop is one depth-first search: pop a box, run one HC4 round
+//! over the shared tape (`IntervalTape::forward`/`backward`), escalate to
+//! the contractor ladder when the box stalls, check the midpoint, δ-decide
+//! small boxes, and bisect the rest. Bisection is support-aware: a cell
+//! never splits (nor δ-gates on) an axis its expression does not mention,
+//! so a ζ-free atom on a 4-D spin domain never halves ζ. The ladder's 3B
+//! shaver re-evaluates probe slabs *dirty-slot only*: per-slot variable
+//! dependency bitsets computed at compile time (`IntervalTape::deps`)
+//! mean that only the slots downstream of the probed axis are recomputed.
 //!
 //! Campaigns also start *measured* when a persisted scheduler model is
 //! available: `repro` and `xcverify` load the `cost_model` entry of

@@ -5,9 +5,13 @@
 //!   exactly 31 pairs and produces the same `TableMark` per pair as the old
 //!   per-pair `Encoder::encode` → `Verifier::verify` path;
 //! * a DSL-defined functional registered at runtime flows through the same
-//!   campaign machinery without touching the `Dfa` enum.
+//!   campaign machinery without touching the `Dfa` enum;
+//! * behind a shared `ProblemCache`, a cell solved through a problem that
+//!   another functional encoded keeps its own name in the report and the
+//!   checkpoint.
 
 use std::sync::Arc;
+use xcverifier::core::ProblemCache;
 use xcverifier::functionals::functional::info;
 use xcverifier::prelude::*;
 
@@ -131,4 +135,54 @@ def wigner_c(rs, s):
         md.contains("wigner-good") && md.contains("wigner-buggy"),
         "{md}"
     );
+}
+
+#[test]
+fn shared_problem_cache_keeps_each_cells_own_name() {
+    // LYP is correlation-only and BLYP's correlation is LYP's, so their
+    // correlation cells have one content key: behind a shared cache, BLYP
+    // solves through the problems LYP encoded. Names, marks and checkpoint
+    // keys must match a campaign that encodes every cell itself.
+    let registry = Registry::extended();
+    let functionals = ["LYP", "BLYP"].map(|n| registry.get(n).unwrap());
+    let config = coarse_config(300);
+    let plain = Campaign::builder()
+        .functionals(functionals.clone())
+        .config(config.clone())
+        .build()
+        .unwrap()
+        .run();
+
+    let cache = Arc::new(ProblemCache::new());
+    let checkpoint =
+        std::env::temp_dir().join(format!("xcv_shared_names_{}.json", std::process::id()));
+    std::fs::remove_file(&checkpoint).ok();
+    let cached = Campaign::builder()
+        .functionals(functionals)
+        .config(config)
+        .problem_cache(Arc::clone(&cache))
+        .checkpoint(&checkpoint)
+        .build()
+        .unwrap()
+        .run();
+    let persisted = checkpoint_marks(&checkpoint);
+    std::fs::remove_file(&checkpoint).ok();
+
+    assert_eq!(cache.stats(), (5, 7), "BLYP reuses LYP's five problems");
+    let cells = |r: &CampaignReport| -> Vec<(String, Condition, TableMark)> {
+        r.pairs
+            .iter()
+            .map(|p| (p.functional_name(), p.condition, p.mark))
+            .collect()
+    };
+    assert_eq!(cells(&cached), cells(&plain));
+    let mut solved: Vec<_> = cells(&cached)
+        .into_iter()
+        .filter(|(_, _, m)| *m != TableMark::NotApplicable)
+        .collect();
+    let mut persisted = persisted.expect("readable checkpoint");
+    let order = |c: &(String, Condition, TableMark)| (c.0.clone(), c.1.name());
+    solved.sort_by_key(order);
+    persisted.sort_by_key(order);
+    assert_eq!(persisted, solved, "checkpoint keys follow each cell's name");
 }

@@ -129,6 +129,42 @@ fn warm_pass_is_cached_and_marks_match_in_process_campaign() {
 }
 
 #[test]
+fn solves_through_shared_problems_stream_the_requested_name() {
+    // BLYP's correlation-only cells are content-identical to LYP's, so an
+    // LYP request leaves them in the level-1 problem cache. A BLYP request
+    // under a new policy misses level 2 and solves through the problems
+    // LYP encoded; every event it streams must still name BLYP.
+    let mut server = Server::spawn(ServerConfig::default()).expect("ephemeral port");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let ask = |functional: &str, policy| VerifyRequest {
+        functionals: vec![functional.to_string()],
+        conditions: Vec::new(),
+        policy,
+    };
+    let (_, lyp) = verify_marks(&mut client, &ask("LYP", flat(150)));
+    assert_eq!(lyp.solved, 5, "LYP's five correlation conditions");
+    let mut names = Vec::new();
+    let mut pair_events = 0;
+    let done = client
+        .verify(&ask("BLYP", flat(200)), |e| match e {
+            Event::Pair { functional, .. } => {
+                pair_events += 1;
+                names.push(functional.clone());
+            }
+            Event::Started { functional, .. } | Event::Counterexample { functional, .. } => {
+                names.push(functional.clone())
+            }
+            _ => {}
+        })
+        .expect("verify succeeds");
+    assert_eq!(done.l1_hits, 5, "BLYP reused LYP's compiled problems");
+    assert_eq!(done.solved, 7, "new policy: no level-2 hits");
+    assert_eq!(pair_events, done.pairs);
+    assert!(names.iter().all(|n| n == "BLYP"), "{names:?}");
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_identical_queries_coalesce_to_one_solve() {
     let server = Server::spawn(ServerConfig::default()).expect("ephemeral port");
     let addr = server.addr();

@@ -8,7 +8,7 @@
 //! against the vendored seed keeps a transcription bug in the new tape
 //! rules from silently agreeing with itself.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * proptest (local shim): random expression formulas over random boxes —
 //!   same `Outcome` class, and identical models when δ-SAT (the search is
@@ -16,7 +16,11 @@
 //! * the pinned 45-pair `encode_all_extended()` matrix: a hand-rolled
 //!   replica of Algorithm 1 running the vendored seed solver per box must
 //!   produce the same `TableMark` as the production verifier running on the
-//!   shared compiled problem.
+//!   shared compiled problem;
+//! * the pinned extended (45) and ζ-resolved (66) matrices verified with
+//!   the parallel fan-out and with the sequential recursion: identical
+//!   regions and identical aggregate solver statistics (the reason
+//!   `VerifierConfig::fingerprint` leaves `parallel` out).
 
 use proptest::prelude::*;
 use xcv_bench::seed_baseline::seed_solve_with_stats;
@@ -286,4 +290,70 @@ fn deep_recursion_marks_agree_on_cheap_pair() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned matrices: parallel fan-out vs sequential recursion
+// ---------------------------------------------------------------------------
+
+/// Verify every problem with worker threads fanning out over the first
+/// split and again sequentially: each box is an independent solve on its
+/// worker's own scratch, so the region maps and the aggregate statistics
+/// must be identical.
+fn assert_parallel_matches_sequential(problems: &[EncodedProblem]) {
+    let sequential = VerifierConfig {
+        split_threshold: 1.25,
+        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(250)),
+        parallel: false,
+        parallel_depth: 0,
+        max_depth: 1,
+        pair_deadline_ms: None,
+    };
+    let parallel = VerifierConfig {
+        parallel: true,
+        ..sequential.clone()
+    };
+    for p in problems {
+        let (want, want_stats) = Verifier::new(sequential.clone()).verify_with_stats(p);
+        let (got, got_stats) = Verifier::new(parallel.clone()).verify_with_stats(p);
+        let what = format!("{} / {}", p.functional_name(), p.condition.name());
+        assert_eq!(want.table_mark(), got.table_mark(), "mark of {what}");
+        assert_eq!(want.regions.len(), got.regions.len(), "regions of {what}");
+        for (a, b) in want.regions.iter().zip(&got.regions) {
+            assert_eq!(a.domain, b.domain, "region order of {what}");
+            assert_eq!(a.status, b.status, "status of {what} at {}", a.domain);
+        }
+        assert_eq!(
+            (
+                want_stats.nodes,
+                want_stats.pruned,
+                want_stats.branched,
+                want_stats.max_depth
+            ),
+            (
+                got_stats.nodes,
+                got_stats.pruned,
+                got_stats.branched,
+                got_stats.max_depth
+            ),
+            "search of {what}"
+        );
+    }
+}
+
+#[test]
+fn pinned_extended_matrix_parallel_matches_sequential() {
+    let problems = Encoder::encode_all_extended();
+    assert_eq!(problems.len(), 45);
+    assert_parallel_matches_sequential(&problems);
+}
+
+#[test]
+fn pinned_spin_matrix_parallel_matches_sequential() {
+    // The ζ-resolved matrix: 4-D cells split into 16 children, the widest
+    // fan-out, and exercise the support-aware split (ζ-free atoms never
+    // split ζ).
+    let problems = Encoder::encode_all_spin();
+    assert_eq!(problems.len(), 66);
+    assert_parallel_matches_sequential(&problems);
 }

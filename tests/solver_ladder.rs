@@ -6,9 +6,12 @@
 //!   refutes or contracts away a box around it, `shave_3b` never shaves
 //!   it off, and a full-ladder solve never answers `Unsat` on a box
 //!   containing it;
-//! * **engine identity** (proptest): with the ladder armed, the batched
-//!   frontier engine at widths 2 and 8 is bit-identical to the scalar
-//!   DFS — same outcome, same model, same statistics;
+//! * **dirty-slot passes** (proptest): the partial forward passes the 3B
+//!   shaver probes slabs with (`forward_from`, `forward_masked`), seeded
+//!   with the parent box's slot file, equal a full `forward` bit for bit;
+//! * **session reuse** (proptest): a ladder-armed solve on a scratch that
+//!   other formulas and boxes already used equals the same solve on a
+//!   fresh scratch — same outcome, same model, same statistics;
 //! * **pinned matrices**: the 45-pair extended and 66-pair ζ-resolved
 //!   matrices verified with and without the ladder. The ladder runs as a
 //!   retry on timed-out boxes, so every table mark must be unchanged or
@@ -19,11 +22,12 @@
 //!   steps included.
 
 use proptest::prelude::*;
+use xcverifier::expr::IntervalTape;
 use xcverifier::prelude::*;
 use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, SolveStats};
 
 // ---------------------------------------------------------------------------
-// Random expressions (compact variant of tests/solver_batched.rs)
+// Random expressions
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -77,15 +81,23 @@ fn build(r: &Recipe) -> Expr {
     }
 }
 
-fn stats_key(s: &SolveStats) -> (u64, u64, u64, u32) {
-    (s.nodes, s.pruned, s.branched, s.max_depth)
-}
-
 fn contains(b: &BoxDomain, point: &[f64]) -> bool {
     b.dims()
         .iter()
         .zip(point)
         .all(|(d, &p)| d.lo <= p && p <= d.hi)
+}
+
+fn stats_key(s: &SolveStats) -> (u64, u64, u64, u32) {
+    (s.nodes, s.pruned, s.branched, s.max_depth)
+}
+
+/// The band formula `lo <= e <= lo + band`.
+fn band_formula(e: Expr, lo: f64, band: f64) -> Formula {
+    Formula::new(vec![
+        Atom::new(e.clone() - constant(lo), Rel::Ge),
+        Atom::new(e - constant(lo + band), Rel::Le),
+    ])
 }
 
 proptest! {
@@ -101,13 +113,9 @@ proptest! {
         band in 0.05f64..0.5,
         frac in (0.2f64..0.8, 0.2f64..0.8, 0.2f64..0.8),
     ) {
-        let e = build(&recipe);
-        // A band formula lo <= e <= lo+band: wide enough to have interior
-        // solutions the f64 sampler below can certify.
-        let f = Formula::new(vec![
-            Atom::new(e.clone() - constant(lo), Rel::Ge),
-            Atom::new(e - constant(lo + band), Rel::Le),
-        ]);
+        // A band wide enough to have interior solutions the f64 sampler
+        // below can certify.
+        let f = band_formula(build(&recipe), lo, band);
         let compiled = CompiledFormula::compile(&f);
         let b = BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]);
         let point: Vec<f64> = b
@@ -145,44 +153,85 @@ proptest! {
         );
     }
 
-    /// Engine identity with the ladder armed: batched widths 2 and 8 equal
-    /// the scalar DFS bit for bit — outcomes, models, statistics.
+    /// The shaver's dirty-slot passes: a box that differs from its parent
+    /// along one axis (`forward_from`) or two (`forward_masked`),
+    /// re-evaluated over the parent's slot file, gets exactly the slot
+    /// values of a full forward pass.
     #[test]
-    fn ladder_batched_matches_scalar_any_width(
+    fn dirty_forward_passes_match_full_forward(
         recipe in recipe_strategy(),
+        lo in (-1.0f64..0.0, -1.0f64..0.0, -1.0f64..0.0),
+        w in (0.1f64..2.0, 0.1f64..2.0, 0.1f64..2.0),
+        axes in (0u32..3, 0u32..3),
+        side in 0u8..2,
+    ) {
+        let tape = IntervalTape::compile(&[build(&recipe)]);
+        let parent = vec![
+            interval(lo.0, lo.0 + w.0),
+            interval(lo.1, lo.1 + w.1),
+            interval(lo.2, lo.2 + w.2),
+        ];
+        let mut parent_vals = tape.scratch();
+        tape.forward(&parent, &mut parent_vals);
+        let halve = |b: &mut Vec<Interval>, axis: u32| {
+            let (l, r) = b[axis as usize].bisect();
+            b[axis as usize] = if side == 1 { r } else { l };
+        };
+        let mut one = parent.clone();
+        halve(&mut one, axes.0);
+        let mut two = one.clone();
+        halve(&mut two, axes.1);
+        let mut full = tape.scratch();
+
+        let mut dirty = parent_vals.clone();
+        tape.forward_from(axes.0, &one, &mut dirty);
+        tape.forward(&one, &mut full);
+        for i in 0..tape.len() {
+            prop_assert_eq!(dirty[i], full[i], "forward_from: slot {} along {}", i, axes.0);
+        }
+
+        let mut dirty = parent_vals.clone();
+        tape.forward_masked((1 << axes.0) | (1 << axes.1), &two, &mut dirty);
+        tape.forward(&two, &mut full);
+        for i in 0..tape.len() {
+            prop_assert_eq!(dirty[i], full[i], "forward_masked: slot {} along {:?}", i, axes);
+        }
+    }
+
+    /// Session reuse with the ladder armed: the Newton and 3B rungs keep
+    /// their slot files in the scratch, so a scratch that solved another
+    /// formula first must still give the fresh-scratch outcome, model and
+    /// statistics.
+    #[test]
+    fn ladder_solve_on_reused_scratch_matches_fresh_scratch(
+        recipe in recipe_strategy(),
+        other in recipe_strategy(),
         lo in -0.5f64..0.5,
         band in 0.05f64..0.5,
-        budget in 1u8..4,
+        budget in 0u8..3,
     ) {
-        let e = build(&recipe);
-        let f = Formula::new(vec![
-            Atom::new(e.clone() - constant(lo), Rel::Ge),
-            Atom::new(e - constant(lo + band), Rel::Le),
-        ]);
-        let compiled = CompiledFormula::compile(&f);
-        let nodes = [30u64, 400, 5_000][(budget % 3) as usize];
-        let scalar = DeltaSolver::new(1e-3, SolveBudget::nodes(nodes))
+        let compiled = CompiledFormula::compile(&band_formula(build(&recipe), lo, band));
+        let decoy = CompiledFormula::compile(&band_formula(build(&other), -lo, band));
+        let nodes = [30u64, 400, 5_000][budget as usize];
+        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(nodes))
             .with_escalation(Escalation::full());
-        let mut scratch = SolveScratch::new();
         let boxes = [
             BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]),
             BoxDomain::from_bounds(&[(0.0, 0.5), (-1.0, 0.0), (0.2, 0.9)]),
         ];
+        let mut reused = SolveScratch::new();
         for b in &boxes {
-            let (want, want_stats) = scalar.solve_compiled_with_stats(b, &compiled, &mut scratch);
-            for w in [2usize, 8] {
-                let batched = scalar.clone().with_batch_width(w);
-                let (got, got_stats) =
-                    batched.solve_compiled_with_stats(b, &compiled, &mut scratch);
-                prop_assert_eq!(&want, &got, "ladder width {} diverged over {}", w, b);
-                prop_assert_eq!(
-                    stats_key(&want_stats),
-                    stats_key(&got_stats),
-                    "ladder width {} stats diverged over {}",
-                    w,
-                    b
-                );
-            }
+            let (want, want_stats) =
+                solver.solve_compiled_with_stats(b, &compiled, &mut SolveScratch::new());
+            solver.solve_compiled_with_stats(b, &decoy, &mut reused);
+            let (got, got_stats) = solver.solve_compiled_with_stats(b, &compiled, &mut reused);
+            prop_assert_eq!(&want, &got, "reused scratch diverged over {}", b);
+            prop_assert_eq!(
+                stats_key(&want_stats),
+                stats_key(&got_stats),
+                "reused scratch changed the search over {}",
+                b
+            );
         }
     }
 }
@@ -192,7 +241,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 fn quick_config(escalation: Escalation) -> VerifierConfig {
-    let mut solver = DeltaSolver::new(1e-3, SolveBudget::nodes(250)).with_batch_width(8);
+    let mut solver = DeltaSolver::new(1e-3, SolveBudget::nodes(250));
     solver.escalation = escalation;
     VerifierConfig {
         split_threshold: 1.25,
