@@ -133,21 +133,10 @@ fn matrix_registry(opts: &Opts) -> Registry {
 }
 
 /// Run the full matrix as one campaign, streaming per-pair progress lines.
-/// Scheduling starts *measured* when a persisted cost model is available
-/// (the `cost_model` entry of `BENCH_solver.json`), and falls back to the
-/// hand-weighted `pair_cost` ranking otherwise.
 fn run_matrix_campaign(opts: &Opts) -> CampaignReport {
     let registry = matrix_registry(opts);
     let budget = opts.budget_ms;
-    let mut builder = Campaign::builder();
-    if let Some(m) = xcv_bench::load_cost_model() {
-        eprintln!(
-            "  scheduler: measured cost model ({} samples, r\u{b2} {:.2}) from BENCH_solver.json",
-            m.samples, m.r2
-        );
-        builder = builder.cost_model(m);
-    }
-    builder
+    Campaign::builder()
         .registry(&registry)
         .config_policy(move |f, _cond| config_for(f, budget))
         .on_event(|e| {

@@ -33,26 +33,24 @@
 //! `BENCH_solver.json`) — the checked-in snapshot tracks the perf
 //! trajectory across PRs.
 //!
-//! The JSON (schema v8; v5 renamed every mode entry's `timeout` count to
-//! `timeouts`, v6 added the `ladder` mode and a top-level `ladder` entry
+//! The JSON is schema v9. v5 renamed every mode entry's `timeout` count to
+//! `timeouts`. v6 added the `ladder` mode and a top-level `ladder` entry
 //! whose `timeouts` array is the trajectory `[rung 0, ≤ rung 1, ≤ rung 2]`
 //! — the timeout count as each rung of the ladder is enabled over the same
-//! matrix, v7 added the `service` entry: the pinned extended matrix asked
+//! matrix. v7 added the `service` entry: the pinned extended matrix asked
 //! of an in-process `xcv-serve` daemon cold then warm, with the warm pass
-//! asserted mark-identical to an in-process campaign and compile-free, v8
-//! dropped the batched engine's mode and entry and times the ladder against
-//! the session) also carries: a `campaign` entry — the same matrix run as
-//! one [`Campaign`] under matrix-order and under cost-aware scheduling,
-//! with both wall-clocks; and a `cost_model` entry: the log-linear
-//! scheduler cost model **fit by least squares from the matrix-order run's
-//! own recorded per-pair wall-clocks**. The cost-aware run is scheduled by
-//! that fitted model, not the hand weights; `tests/bench_snapshot.rs` pins
-//! the checked-in snapshot.
+//! asserted mark-identical to an in-process [`Campaign`] and compile-free.
+//! v8 dropped the batched engine's mode and entry and times the ladder
+//! against the session. v9 dropped the `campaign` entry (matrix-order vs
+//! cost-aware scheduling) and the fitted scheduler model: campaigns
+//! dispatch costliest-first by `pair_cost` to a pulling pool, and no
+//! scheduler reads a model any more. `tests/bench_snapshot.rs` pins the
+//! checked-in snapshot.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 use xcv_bench::seed_baseline::seed_solve_with_stats;
-use xcv_core::{Campaign, CampaignReport, CampaignSchedule, CostModel, Encoder, VerifierConfig};
+use xcv_core::{Campaign, Encoder};
 use xcv_functionals::Registry;
 use xcv_solver::{BoxDomain, DeltaSolver, Escalation, Outcome, SolveBudget, SolveScratch};
 
@@ -165,40 +163,6 @@ fn json_mode(m: &ModeResult) -> String {
     )
 }
 
-/// One campaign over the matrix under the given schedule (cost-aware runs
-/// rank by `model` when given); returns the wall-clock and the full report
-/// so marks can be compared and a cost model fit from the recorded
-/// per-pair wall-clocks.
-fn campaign_run(
-    registry: &Registry,
-    nodes: u64,
-    schedule: CampaignSchedule,
-    model: Option<&CostModel>,
-) -> (f64, CampaignReport) {
-    let config = VerifierConfig {
-        split_threshold: 0.625,
-        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
-        // Pairs themselves are the parallel unit here: per-pair recursion
-        // stays sequential so the schedule's chunk balance is what is
-        // measured.
-        parallel: false,
-        parallel_depth: 0,
-        max_depth: 2,
-        pair_deadline_ms: None,
-    };
-    let mut builder = Campaign::builder()
-        .registry(registry)
-        .config(config)
-        .schedule(schedule);
-    if let Some(m) = model {
-        builder = builder.cost_model(m.clone());
-    }
-    let campaign = builder.build().expect("registry is non-empty");
-    let t0 = Instant::now();
-    let report = campaign.run();
-    (t0.elapsed().as_secs_f64(), report)
-}
-
 /// The verification-service benchmark: the pinned extended matrix (45
 /// applicable of 49 cells) asked of an in-process `xcv-serve` daemon cold,
 /// then again warm. The warm pass must answer every applicable pair from
@@ -210,15 +174,20 @@ fn campaign_run(
 fn service_bench(nodes: u64) -> String {
     use xcv_serve::{Client, Event, Policy, Server, ServerConfig, VerifyRequest};
     let registry = Registry::extended();
-    // The exact flat config campaign_run measures with, as a shared policy:
-    // the daemon derives its VerifierConfig (and cache keys) from this.
+    // The daemon derives its VerifierConfig (and cache keys) from this
+    // policy; the in-process reference campaign runs the same one.
     let policy = Policy::Flat {
         delta: 1e-3,
         max_nodes: nodes,
         split_threshold: 0.625,
         max_depth: 2,
     };
-    let (_, reference) = campaign_run(&registry, nodes, CampaignSchedule::MatrixOrder, None);
+    let reference = Campaign::builder()
+        .registry(&registry)
+        .config_policy(move |f, _| policy.verifier_config(f))
+        .build()
+        .expect("registry is non-empty")
+        .run();
     let mut reference_marks: Vec<(String, String, xcv_core::TableMark)> = reference
         .pairs
         .iter()
@@ -305,12 +274,12 @@ fn main() {
         service_bench(opts.nodes);
         return;
     }
-    let (problems, registry) = if opts.spin {
-        (Encoder::encode_all_spin(), Registry::spin_general())
+    let problems = if opts.spin {
+        Encoder::encode_all_spin()
     } else if opts.extended {
-        (Encoder::encode_all_extended(), Registry::extended())
+        Encoder::encode_all_extended()
     } else {
-        (Encoder::encode_all(), Registry::builtin())
+        Encoder::encode_all()
     };
     let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(opts.nodes));
     // Rung 1 (Newton only) exists solely to attribute the timeout
@@ -490,59 +459,6 @@ fn main() {
             t.wall_s += m.wall_s;
         }
     }
-    // Scheduling-order regression: the same matrix as one campaign, matrix
-    // order vs cost-aware. The cost-aware run is ranked by a model *fit by
-    // least squares from the matrix-order run's recorded per-pair
-    // wall-clocks* (measurement replacing the hand weights). Marks must
-    // agree exactly; wall-clocks are the min over interleaved repeats (the
-    // total work per schedule is identical, so the min is the noise-robust
-    // estimator — on a one-core machine the two converge, on many cores
-    // cost-aware wins the makespan).
-    let (matrix_s, matrix_report) =
-        campaign_run(&registry, opts.nodes, CampaignSchedule::MatrixOrder, None);
-    let model = matrix_report
-        .fit_cost_model()
-        .expect("matrix cells recorded wall-clocks");
-    println!(
-        "cost model (fit from {} measured cells, r2 {:.3}): ln(cost) = {:.3} \
-         + {:.3}·ln(family) + {:.3}·ln(2^ndim) + {:.3}·ln(class)",
-        model.samples,
-        model.r2,
-        model.weights[0],
-        model.weights[1],
-        model.weights[2],
-        model.weights[3]
-    );
-    let (cost_s, cost_report) = campaign_run(
-        &registry,
-        opts.nodes,
-        CampaignSchedule::CostAware,
-        Some(&model),
-    );
-    let matrix_marks: Vec<xcv_core::TableMark> =
-        matrix_report.pairs.iter().map(|p| p.mark).collect();
-    let cost_marks: Vec<xcv_core::TableMark> = cost_report.pairs.iter().map(|p| p.mark).collect();
-    assert_eq!(
-        matrix_marks, cost_marks,
-        "scheduling order changed campaign outcomes"
-    );
-    let (matrix_s2, _) = campaign_run(&registry, opts.nodes, CampaignSchedule::MatrixOrder, None);
-    let (cost_s2, _) = campaign_run(
-        &registry,
-        opts.nodes,
-        CampaignSchedule::CostAware,
-        Some(&model),
-    );
-    let matrix_s = matrix_s.min(matrix_s2);
-    let cost_s = cost_s.min(cost_s2);
-    println!(
-        "campaign ({} cells): matrix-order {:.0} ms, cost-aware (measured model) {:.0} ms ({:.2}x)",
-        matrix_marks.len(),
-        matrix_s * 1e3,
-        cost_s * 1e3,
-        matrix_s / cost_s.max(1e-12),
-    );
-
     let [total_session, total_recompile, total_seed, total_ladder] = totals;
     let total_vs_seed = total_seed.wall_s / total_session.wall_s.max(1e-12);
     println!(
@@ -573,19 +489,13 @@ fn main() {
     // and is independent of the per-box modes above.
     let service_json = service_bench(opts.nodes);
     let json = format!(
-        "{{\n  \"schema\": \"xcv-bench-solver/v8\",\n  \"config\": {{\"nodes_per_box\": {}, \
+        "{{\n  \"schema\": \"xcv-bench-solver/v9\",\n  \"config\": {{\"nodes_per_box\": {}, \
          \"split_depth\": {}, \"delta\": 1e-3, \"pairs\": {}}},\n  \"total\": {{\"session\": {}, \
          \"recompile\": {}, \"seed\": {}, \"ladder\": {}, \"speedup_vs_seed\": {:.2}}},\n  \
          \"ladder\": {{\"escalation\": \"full\", \"wall_ms\": {:.3}, \
          \"session_wall_ms\": {:.3}, \"timeouts\": [{}, {}, {}], \"resolved_timeouts\": {}, \
          \"regressed_timeouts\": {}, \"strengthened_decisions\": {}, \
-         \"unsat_regressions\": 0}},\n  \"campaign\": \
-         {{\"cells\": {}, \"matrix_order_wall_ms\": {:.3}, \"cost_aware_wall_ms\": {:.3}, \
-         \"speedup_vs_matrix_order\": {:.2}, \"scheduler\": \"measured-cost-model\"}},\n  \
-         \"service\": {},\n  \
-         \"cost_model\": {{\"kind\": \"log-linear\", \"features\": [\"family\", \"2^ndim\", \
-         \"condition_class\"], \"weights\": [{:.6}, {:.6}, {:.6}, {:.6}], \"samples\": {}, \
-         \"r2\": {:.4}}},\n  \"pairs\": [\n{}\n  ]\n}}\n",
+         \"unsat_regressions\": 0}},\n  \"service\": {},\n  \"pairs\": [\n{}\n  ]\n}}\n",
         opts.nodes,
         opts.depth,
         problems.len(),
@@ -602,17 +512,7 @@ fn main() {
         resolved_timeouts,
         regressed_timeouts,
         strengthened_decisions,
-        matrix_marks.len(),
-        matrix_s * 1e3,
-        cost_s * 1e3,
-        matrix_s / cost_s.max(1e-12),
         service_json,
-        model.weights[0],
-        model.weights[1],
-        model.weights[2],
-        model.weights[3],
-        model.samples,
-        model.r2,
         records.join(",\n")
     );
     std::fs::write(&opts.out, json).expect("write bench json");

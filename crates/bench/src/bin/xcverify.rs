@@ -34,7 +34,8 @@
 //! `--checkpoint PATH` persists progress (atomically, after every pair);
 //! re-running the same command resumes mid-matrix — even mid-pair — with
 //! identical marks. `--shard i/n` runs only the i-th of `n` deterministic
-//! LPT shards; `--merge` unions the shard checkpoints and prints the
+//! LPT shards, dealt longest-first by the matrix-only `pair_cost`;
+//! `--merge` unions the shard checkpoints and prints the
 //! combined matrix, sorted, one `functional / condition: mark` per line.
 //! With `--allow-missing`, absent or unreadable shard checkpoints are
 //! reported on stderr and the merge of the rest still prints, exiting 3 —
@@ -519,18 +520,6 @@ fn main() -> ExitCode {
         .functionals(targets)
         .conditions(conditions)
         .config_policy(move |f, _| policy.verifier_config(f));
-    // Start measured when a persisted scheduler model is available (the
-    // `cost_model` entry of BENCH_solver.json); ordering only — a stale or
-    // absent model never changes any verdict.
-    if let Some(m) = xcv_bench::load_cost_model() {
-        if !quiet {
-            eprintln!(
-                "scheduler: measured cost model ({} samples, r\u{b2} {:.2}) from BENCH_solver.json",
-                m.samples, m.r2
-            );
-        }
-        builder = builder.cost_model(m);
-    }
     if let Some(ms) = deadline_ms {
         builder = builder.global_budget_ms(ms);
     }
@@ -543,9 +532,8 @@ fn main() -> ExitCode {
     if let Some((index, of)) = shard {
         builder = builder.shard(index, of);
     }
-    // `--ladder` arms the contractor escalation ladder (interval-Newton +
-    // 3B shaving on stalled boxes); the campaign's measured cost model
-    // still demotes pairs predicted too cheap to ever stall.
+    // `--ladder` arms the contractor escalation ladder: a box that times
+    // out at rung 0 is retried with interval-Newton and 3B shaving.
     if ladder {
         builder = builder.escalation(xcv_solver::Escalation::full());
     }

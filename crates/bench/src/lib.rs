@@ -1,15 +1,13 @@
 //! Shared presets for the benchmark harness and the `repro` binary.
 //!
-//! The reproduction presets (`repro_config`, `config_for`, the cost-model
-//! loader, …) moved to [`xcv_core::presets`] so the `xcvserve` daemon can
-//! derive identical per-functional configurations without depending on this
-//! crate; they are re-exported here verbatim for existing call sites.
+//! The reproduction presets (`repro_config`, `config_for`, …) moved to
+//! [`xcv_core::presets`] so the `xcvserve` daemon can derive identical
+//! per-functional configurations without depending on this crate; they are
+//! re-exported here verbatim for existing call sites.
 
 pub mod seed_baseline;
 
-pub use xcv_core::presets::{
-    config_for, load_cost_model, repro_config, repro_verifier, verifier_for,
-};
+pub use xcv_core::presets::{config_for, repro_config, repro_verifier, verifier_for};
 
 use xcv_core::Verifier;
 use xcv_grid::GridConfig;

@@ -8,13 +8,14 @@
 //! * **building** — [`Campaign::builder`] takes any mix of registry handles
 //!   (built-in `Dfa` variants, runtime-registered DSL functionals), a
 //!   condition subset (default: all seven), and a [`VerifierConfig`];
-//! * **scheduling** — applicable pairs are encoded up front, ranked
-//!   costliest-first (by the hand-weighted [`pair_cost`] or, better, a
-//!   [`CostModel`] *fit from measured wall-clocks* via
-//!   [`CampaignBuilder::cost_model`]) and fanned out across rayon. Each pair
-//!   keeps the per-pair deadline from the verifier config; a global
-//!   wall-clock budget bounds the whole campaign, and pairs reached after it
-//!   expires are recorded as skipped rather than run;
+//! * **scheduling** — every cell is encoded up front, then the cells are
+//!   handed to rayon costliest-first by [`pair_cost`] (ties in matrix
+//!   order). The pool's workers pull one cell at a time, so the order alone
+//!   gives greedy longest-first scheduling: no cell waits behind another in
+//!   a fixed share of the matrix. Each pair keeps the per-pair deadline
+//!   from the verifier config; a global wall-clock budget bounds the whole
+//!   campaign, and pairs reached after it expires are recorded as skipped
+//!   rather than run;
 //! * **observing** — [`CampaignEvent`]s stream through a callback (or the
 //!   [`CampaignBuilder::event_channel`] convenience) as pairs start, finish,
 //!   and produce counterexamples; a [`CancelToken`] stops the campaign at
@@ -60,20 +61,6 @@ impl CancelToken {
     }
 }
 
-/// How a campaign orders its cells across the thread pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CampaignSchedule {
-    /// Cells run in matrix (functional-major) order — the pre-cost-model
-    /// behaviour, kept so the scheduler itself can be benchmarked against
-    /// (`solver_bench` records both wall-clocks in `BENCH_solver.json`).
-    MatrixOrder,
-    /// Cells are ranked by the [`pair_cost`] model and laid out so worker
-    /// chunks carry near-equal total cost, costliest cells first — large
-    /// meta-GGA/spin pairs no longer straggle at the tail of the pool.
-    #[default]
-    CostAware,
-}
-
 /// Family size class of a cell's expression DAG (the static cost feature).
 fn family_class(f: &dyn xcv_functionals::Functional) -> u64 {
     match f.info().family {
@@ -105,223 +92,11 @@ fn condition_class(condition: Condition) -> u64 {
 /// split fan-out (`2^ndim` children per recursion level) × family
 /// (expression size class) × condition class (differentiation depth of the
 /// encoded atom). The absolute scale is meaningless — only ratios matter,
-/// and only for ordering; the model never gates work. A [`CostModel`] *fit
-/// from measured wall-clocks* over the same features replaces these
-/// hand weights when attached via [`CampaignBuilder::cost_model`].
+/// and only for ordering and shard ownership; the model never gates work.
+/// It depends only on the matrix, so every process ranks cells alike.
 pub fn pair_cost(f: &dyn xcv_functionals::Functional, condition: Condition) -> u64 {
     let fanout = 1u64 << f.var_space().ndim().min(8);
     family_class(f) * fanout * condition_class(condition)
-}
-
-/// Raw feature vector of one matrix cell, in the order the cost model is
-/// fit over: `(family class, 2^ndim split fan-out, condition class)`.
-pub fn pair_features(f: &dyn xcv_functionals::Functional, condition: Condition) -> [f64; 3] {
-    [
-        family_class(f) as f64,
-        (1u64 << f.var_space().ndim().min(8)) as f64,
-        condition_class(condition) as f64,
-    ]
-}
-
-/// A scheduling cost model **fit from measurement** instead of
-/// hand-weighted: ordinary least squares (lightly ridge-regularized, so
-/// degenerate sample sets — e.g. a single family — stay solvable) of
-/// `ln(1 + wall_ms)` over `[1, ln family, ln 2^ndim, ln class]`, the
-/// logged [`pair_features`]. The exponent form keeps predictions positive
-/// and makes the fit multiplicative, matching the hand model's shape while
-/// letting the data choose the weights.
-///
-/// Fit one from the `PairOutcome::{wall_ms}` samples a campaign already
-/// records ([`CampaignReport::fit_cost_model`]), persist it (the
-/// `solver_bench` binary writes a `cost_model` entry into
-/// `BENCH_solver.json`), and attach it to the next campaign with
-/// [`CampaignBuilder::cost_model`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CostModel {
-    /// `[w0, w_family, w_fanout, w_class]` of the log-linear predictor.
-    pub weights: [f64; 4],
-    /// Number of measured cells behind the fit.
-    pub samples: usize,
-    /// In-sample coefficient of determination on `ln(1 + wall_ms)`.
-    pub r2: f64,
-}
-
-impl CostModel {
-    /// Least-squares fit over `(features, wall_ms)` samples. `None` when no
-    /// samples were provided.
-    pub fn fit(samples: &[([f64; 3], f64)]) -> Option<CostModel> {
-        if samples.is_empty() {
-            return None;
-        }
-        let mut xtx = [[0.0f64; 4]; 4];
-        let mut xty = [0.0f64; 4];
-        let mut mean_y = 0.0;
-        let rows: Vec<([f64; 4], f64)> = samples
-            .iter()
-            .map(|(feat, ms)| {
-                let x = [1.0, feat[0].ln(), feat[1].ln(), feat[2].ln()];
-                let y = (1.0 + ms.max(0.0)).ln();
-                (x, y)
-            })
-            .collect();
-        for (x, y) in &rows {
-            for i in 0..4 {
-                for j in 0..4 {
-                    xtx[i][j] += x[i] * x[j];
-                }
-                xty[i] += x[i] * y;
-            }
-            mean_y += y;
-        }
-        mean_y /= rows.len() as f64;
-        // Tiny ridge: collinear feature columns (every cell one family, say)
-        // must not make the normal equations singular.
-        for (i, row) in xtx.iter_mut().enumerate() {
-            row[i] += 1e-6;
-        }
-        let weights = solve4(xtx, xty)?;
-        let (mut ss_res, mut ss_tot) = (0.0, 0.0);
-        for (x, y) in &rows {
-            let pred: f64 = weights.iter().zip(x).map(|(w, xi)| w * xi).sum();
-            ss_res += (y - pred) * (y - pred);
-            ss_tot += (y - mean_y) * (y - mean_y);
-        }
-        let r2 = if ss_tot > 0.0 {
-            1.0 - ss_res / ss_tot
-        } else {
-            1.0
-        };
-        Some(CostModel {
-            weights,
-            samples: rows.len(),
-            r2,
-        })
-    }
-
-    /// Load the `cost_model` entry persisted in a `BENCH_solver.json`
-    /// written by the `solver_bench` binary, so long campaigns start from
-    /// *measured* scheduling weights instead of the hand-tuned
-    /// [`pair_cost`]. Returns `None` — callers fall back to `pair_cost` —
-    /// when the file is missing, unreadable, or carries no well-formed
-    /// entry (absent weights, non-finite values); a stale-but-valid model
-    /// still only affects ordering, never results.
-    pub fn load_bench_json(path: impl AsRef<std::path::Path>) -> Option<CostModel> {
-        let json = std::fs::read_to_string(path).ok()?;
-        let entry = &json[json.find("\"cost_model\"")?..];
-        let field = |key: &str| -> Option<&str> {
-            let rest = &entry[entry.find(&format!("\"{key}\":"))? + key.len() + 3..];
-            let rest = rest.trim_start();
-            if let Some(stripped) = rest.strip_prefix('[') {
-                return Some(stripped[..stripped.find(']')?].trim());
-            }
-            Some(rest[..rest.find([',', '}', ']'])?].trim())
-        };
-        let weights: Vec<f64> = field("weights")?
-            .split(',')
-            .map(|w| w.trim().parse().ok())
-            .collect::<Option<_>>()?;
-        let weights: [f64; 4] = weights.try_into().ok()?;
-        if weights.iter().any(|w| !w.is_finite()) {
-            return None;
-        }
-        let samples: usize = field("samples")?.parse().ok()?;
-        let r2: f64 = field("r2")?.parse().ok()?;
-        (samples > 0 && (0.0..=1.0).contains(&r2)).then_some(CostModel {
-            weights,
-            samples,
-            r2,
-        })
-    }
-
-    /// Predicted relative cost of one cell: `exp` of the fitted log-cost
-    /// (`≈ 1 + wall_ms` in the fit's units). Only ratios matter for the
-    /// schedule.
-    pub fn predict(&self, f: &dyn xcv_functionals::Functional, condition: Condition) -> f64 {
-        let feat = pair_features(f, condition);
-        let x = [1.0, feat[0].ln(), feat[1].ln(), feat[2].ln()];
-        let log = self
-            .weights
-            .iter()
-            .zip(x)
-            .map(|(w, xi)| w * xi)
-            .sum::<f64>();
-        let v = log.exp();
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Solve a 4×4 linear system by Gaussian elimination with partial pivoting.
-fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
-    for col in 0..4 {
-        let pivot = (col..4).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let pivot_row = a[col];
-        for row in col + 1..4 {
-            let factor = a[row][col] / pivot_row[col];
-            for (k, p) in pivot_row.iter().enumerate().skip(col) {
-                a[row][k] -= factor * p;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = [0.0f64; 4];
-    for row in (0..4).rev() {
-        let mut v = b[row];
-        for k in row + 1..4 {
-            v -= a[row][k] * x[k];
-        }
-        x[row] = v / a[row][row];
-    }
-    x.iter().all(|v| v.is_finite()).then_some(x)
-}
-
-/// Lay cells out for the chunked thread pool: indices sorted costliest
-/// first, then dealt LPT-style (longest-processing-time) into `workers`
-/// equal-size buckets whose concatenation becomes the execution order —
-/// each contiguous worker chunk then carries a near-equal share of the
-/// modeled cost instead of, say, every SCAN cell landing in one chunk.
-fn cost_aware_order(costs: &[f64], workers: usize) -> Vec<usize> {
-    let n = costs.len();
-    let k = workers.clamp(1, n.max(1));
-    let cap = n.div_ceil(k);
-    let mut ranked: Vec<usize> = (0..n).collect();
-    // Ties keep matrix order, making the schedule deterministic; NaN never
-    // occurs (predictions are finiteness-guarded) but would sort last.
-    ranked.sort_by(|&i, &j| {
-        costs[j]
-            .partial_cmp(&costs[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(i.cmp(&j))
-    });
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut loads = vec![0.0f64; k];
-    for i in ranked {
-        let b = (0..k)
-            .filter(|&b| buckets[b].len() < cap)
-            .min_by(|&x, &y| {
-                loads[x]
-                    .partial_cmp(&loads[y])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.cmp(&y))
-            })
-            .expect("cap * k >= n");
-        buckets[b].push(i);
-        loads[b] += costs[i];
-    }
-    buckets.concat()
 }
 
 /// One scheduled matrix cell: the functional and condition it stands for,
@@ -470,23 +245,6 @@ impl CampaignReport {
         self.pairs.iter().filter(|p| pred(p.mark)).count()
     }
 
-    /// Fit a [`CostModel`] from this report's measured `wall_ms` samples
-    /// (cells that actually ran). `None` when nothing ran.
-    pub fn fit_cost_model(&self) -> Option<CostModel> {
-        let samples: Vec<([f64; 3], f64)> = self
-            .pairs
-            .iter()
-            .filter(|p| p.skipped.is_none())
-            .map(|p| {
-                (
-                    pair_features(p.functional.as_ref(), p.condition),
-                    p.wall_ms as f64,
-                )
-            })
-            .collect();
-        CostModel::fit(&samples)
-    }
-
     /// All counterexample witnesses, as (functional name, condition, point).
     pub fn counterexamples(&self) -> Vec<(String, Condition, Vec<f64>)> {
         let mut out = Vec::new();
@@ -583,93 +341,35 @@ impl CampaignReport {
     }
 }
 
-/// The escalation ladder a cell actually runs with under a campaign-wide
-/// [`CampaignBuilder::escalation`] override: cells the measured model
-/// predicts as sub-millisecond (`predict` ≈ 1 + wall_ms, so `< 2.0`) never
-/// stall and gain nothing from rung 1/2 machinery, so they keep the plain
-/// HC4 path. Ladder rungs only ever tighten or prune, so marks stay
-/// unchanged-or-better either way (pinned by the ladder bench suites).
-fn effective_escalation(
-    requested: xcv_solver::Escalation,
-    model: Option<&CostModel>,
-    functional: &dyn xcv_functionals::Functional,
-    condition: Condition,
-) -> xcv_solver::Escalation {
-    match model {
-        Some(m) if m.predict(functional, condition) < 2.0 => xcv_solver::Escalation::off(),
-        _ => requested,
-    }
+/// Cell indices costliest-first by [`pair_cost`], ties in matrix order: the
+/// order a campaign dispatches its cells in, and the ranking its shards are
+/// dealt from.
+fn costliest_first(cells: &[CampaignCell]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    // A stable sort: equal costs keep matrix order.
+    order.sort_by_key(|&i| std::cmp::Reverse(cells[i].cost));
+    order
 }
 
-/// Decision rank of a mark for the budget-escalation retry pass: a retry
-/// is accepted only when it climbs this ladder (or ties it with strictly
-/// fewer undecided regions). `Verified` and `Counterexample` are both
-/// fully decided — a retry can never trade one for the other, because the
-/// solver is sound (a counterexample is an exact witness, a verification
-/// an exhaustive cover; more budget cannot contradict either).
-fn mark_rank(mark: TableMark) -> u8 {
-    match mark {
-        TableMark::Unknown | TableMark::NotApplicable => 0,
-        TableMark::PartiallyVerified => 1,
-        TableMark::Verified | TableMark::Counterexample => 2,
-    }
-}
-
-/// Regions of a pair's map still undecided (timeout/inconclusive/cancelled).
-fn undecided_regions(p: &PairOutcome) -> usize {
-    p.map.as_ref().map_or(usize::MAX, |m| {
-        m.regions
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.status,
-                    RegionStatus::Timeout | RegionStatus::Inconclusive | RegionStatus::Cancelled
-                )
-            })
-            .count()
-    })
-}
-
-/// "Marks may only improve": accept the retried outcome over the recorded
-/// one only on a strict improvement — higher mark rank, or the same rank
-/// with strictly fewer undecided regions. Retries that were skipped
-/// (budget/cancel gate) never replace a recorded outcome.
-fn improves(old: &PairOutcome, new: &PairOutcome) -> bool {
-    if new.skipped.is_some() {
-        return false;
-    }
-    let (or, nr) = (mark_rank(old.mark), mark_rank(new.mark));
-    nr > or || (nr == or && undecided_regions(new) < undecided_regions(old))
-}
-
-/// Deterministic LPT assignment of cells to `of` shards: cells ranked by
-/// modeled cost (descending; matrix index breaks ties), each assigned to
-/// the least-loaded shard so far (ties to the lowest shard index). Every
-/// process computing this over the same matrix and cost model produces the
-/// same assignment — the whole point: shards coordinate by construction,
-/// not by communication. `None` costs (cells that never encoded) stay
+/// Deterministic LPT assignment of cells to `of` shards: in
+/// [`costliest_first`] order, each cell goes to the least-loaded shard so
+/// far (ties to the lowest shard index). [`pair_cost`] depends only on the
+/// matrix, so every process computing this over the same matrix produces
+/// the same assignment — the whole point: shards coordinate by
+/// construction, not by communication. Cells that never encoded stay
 /// unassigned; every shard reports those identically.
-fn shard_assignment(costs: &[Option<f64>], of: usize) -> Vec<Option<usize>> {
-    let mut ranked: Vec<usize> = (0..costs.len()).filter(|&i| costs[i].is_some()).collect();
-    ranked.sort_by(|&i, &j| {
-        costs[j]
-            .partial_cmp(&costs[i])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(i.cmp(&j))
-    });
-    let mut loads = vec![0.0f64; of.max(1)];
-    let mut owner = vec![None; costs.len()];
-    for i in ranked {
-        let s = (0..loads.len())
-            .min_by(|&x, &y| {
-                loads[x]
-                    .partial_cmp(&loads[y])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.cmp(&y))
-            })
+fn shard_assignment(cells: &[CampaignCell], of: usize) -> Vec<Option<usize>> {
+    let mut loads = vec![0u64; of];
+    let mut owner = vec![None; cells.len()];
+    for i in costliest_first(cells) {
+        if cells[i].problem.is_err() {
+            continue;
+        }
+        let s = (0..of)
+            .min_by_key(|&s| loads[s])
             .expect("at least one shard");
         owner[i] = Some(s);
-        loads[s] += costs[i].unwrap_or(0.0);
+        loads[s] += cells[i].cost;
     }
     owner
 }
@@ -685,10 +385,7 @@ pub struct CampaignBuilder {
     config: VerifierConfig,
     config_policy: Option<ConfigPolicy>,
     global_budget_ms: Option<u64>,
-    schedule: CampaignSchedule,
-    cost_model: Option<CostModel>,
     escalation: Option<xcv_solver::Escalation>,
-    budget_escalation: Option<(f64, u32)>,
     problem_cache: Option<Arc<ProblemCache>>,
     emit_certificates: bool,
     checkpoint: Option<PathBuf>,
@@ -758,52 +455,15 @@ impl CampaignBuilder {
         self
     }
 
-    /// How cells are ordered across the pool (default:
-    /// [`CampaignSchedule::CostAware`], costliest-first with balanced worker
-    /// chunks). The report is always in matrix order regardless.
-    pub fn schedule(mut self, schedule: CampaignSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Rank cells with a measured [`CostModel`] instead of the hand-weighted
-    /// [`pair_cost`] (only affects [`CampaignSchedule::CostAware`]). Fit one
-    /// from a previous run's report ([`CampaignReport::fit_cost_model`]) or
-    /// load the persisted `cost_model` entry of `BENCH_solver.json`
-    /// ([`CostModel::load_bench_json`]).
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = Some(model);
-        self
-    }
-
     /// Contractor escalation ladder for every pair (overrides whatever the
-    /// base config or the config policy set): boxes whose HC4 contraction
-    /// stalls escalate to interval-Newton (rung 1) and 3B slab shaving
-    /// (rung 2) instead of burning budget on bisection — the knob that
-    /// turns timeout cells into decisions. Under a measured [`CostModel`],
-    /// cells predicted sub-millisecond keep the plain HC4 path (the ladder
-    /// cannot help where nothing stalls). Composes with certificate
-    /// emission: ladder steps are recorded and replayed by `xcvcheck`.
+    /// base config or the config policy set): a box whose rung-0 solve
+    /// exhausts its budget is re-solved with interval-Newton (rung 1) and 3B
+    /// slab shaving (rung 2) armed — the knob that turns timeout cells into
+    /// decisions. Boxes that never time out never enter the ladder, so cheap
+    /// cells pay nothing for it. Composes with certificate emission: ladder
+    /// steps are recorded and replayed by `xcvcheck`.
     pub fn escalation(mut self, esc: xcv_solver::Escalation) -> Self {
         self.escalation = Some(esc);
-        self
-    }
-
-    /// Budget-escalation retry pass: after the first full pass, re-solve
-    /// the still-undecided cells (mark [`TableMark::Unknown`] or
-    /// [`TableMark::PartiallyVerified`]) with node/time budgets multiplied
-    /// by `factor`, up to `max_rounds` times, compounding per round. Marks
-    /// may only improve — a retry whose outcome ranks below (or ties
-    /// without reducing undecided regions) the recorded one is discarded,
-    /// the same retry-on-timeout semantics the contractor ladder uses.
-    /// The global budget and cancellation still gate every retry.
-    ///
-    /// # Panics
-    /// When `factor <= 1.0` (a retry at the same budget can only re-derive
-    /// the same undecided mark — a caller bug).
-    pub fn budget_escalation(mut self, factor: f64, max_rounds: u32) -> Self {
-        assert!(factor > 1.0, "budget escalation factor must exceed 1");
-        self.budget_escalation = Some((factor, max_rounds));
         self
     }
 
@@ -840,9 +500,10 @@ impl CampaignBuilder {
         self
     }
 
-    /// Run only shard `index` of `of` (deterministic LPT over the modeled
-    /// cell costs — attach the same [`CostModel`] in every process for a
-    /// balanced split). Cells owned by other shards are reported as
+    /// Run only shard `index` of `of`: cells are dealt longest-first to the
+    /// least-loaded shard by [`pair_cost`], which depends only on the
+    /// matrix, so every process over the same matrix agrees on who owns
+    /// what. Cells owned by other shards are reported as
     /// [`SkipReason::OtherShard`]; combine the per-shard reports with
     /// [`CampaignReport::merge`].
     ///
@@ -915,10 +576,7 @@ impl CampaignBuilder {
             config: self.config,
             config_policy: self.config_policy,
             global_budget_ms: self.global_budget_ms,
-            schedule: self.schedule,
-            cost_model: self.cost_model,
             escalation: self.escalation,
-            budget_escalation: self.budget_escalation,
             problem_cache: self.problem_cache,
             emit_certificates: self.emit_certificates,
             checkpoint: self.checkpoint,
@@ -937,10 +595,7 @@ pub struct Campaign {
     config: VerifierConfig,
     config_policy: Option<ConfigPolicy>,
     global_budget_ms: Option<u64>,
-    schedule: CampaignSchedule,
-    cost_model: Option<CostModel>,
     escalation: Option<xcv_solver::Escalation>,
-    budget_escalation: Option<(f64, u32)>,
     problem_cache: Option<Arc<ProblemCache>>,
     emit_certificates: bool,
     checkpoint: Option<PathBuf>,
@@ -958,10 +613,7 @@ impl Campaign {
             config: VerifierConfig::default(),
             config_policy: None,
             global_budget_ms: None,
-            schedule: CampaignSchedule::default(),
-            cost_model: None,
             escalation: None,
-            budget_escalation: None,
             problem_cache: None,
             emit_certificates: false,
             checkpoint: None,
@@ -985,10 +637,9 @@ impl Campaign {
         })
     }
 
-    /// Run the campaign: encode every cell, order the applicable pairs by
-    /// the configured [`CampaignSchedule`], fan them out across rayon, and
-    /// collect a [`CampaignReport`] — always in matrix order, whatever the
-    /// execution order was.
+    /// Run the campaign: encode every cell, hand the cells to rayon
+    /// costliest-first, and collect a [`CampaignReport`] — always in matrix
+    /// order, whatever the execution order was.
     pub fn run(&self) -> CampaignReport {
         let start = Instant::now();
         // Encode the full matrix up front (cheap relative to solving): cells
@@ -1025,13 +676,8 @@ impl Campaign {
             .collect();
         // Shard ownership: deterministic, communication-free (see
         // `shard_assignment`). `None` = single-process campaign.
-        let owner: Option<Vec<Option<usize>>> = self.shard.map(|(_, of)| {
-            let costs: Vec<Option<f64>> = cells
-                .iter()
-                .map(|c| c.problem.is_ok().then(|| self.modeled_cost(c)))
-                .collect();
-            shard_assignment(&costs, of)
-        });
+        let owner: Option<Vec<Option<usize>>> =
+            self.shard.map(|(_, of)| shard_assignment(&cells, of));
         // Checkpoint: restore what a previous (interrupted) run persisted,
         // and keep a live store rewritten after every pair. A truncated or
         // unparseable checkpoint is quarantined (renamed `*.bad`) and the
@@ -1068,33 +714,15 @@ impl Campaign {
             .checkpoint
             .as_ref()
             .map(|_| Mutex::new(restored.clone()));
-        // Schedule: one rayon task per cell, in cost-aware or matrix order.
-        // The verifier's own recursion fans out further below
-        // parallel_depth, so the pool stays busy even for campaigns smaller
-        // than the machine.
-        let order: Vec<usize> = match self.schedule {
-            CampaignSchedule::MatrixOrder => (0..cells.len()).collect(),
-            CampaignSchedule::CostAware => {
-                let costs: Vec<f64> = cells
-                    .iter()
-                    // Skip cells solve nothing; keep them out of the load
-                    // balance.
-                    .map(|c| match c.problem {
-                        Err(_) => 0.0,
-                        Ok(_) => self.modeled_cost(c),
-                    })
-                    .collect();
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4);
-                cost_aware_order(&costs, workers)
-            }
-        };
-        let scheduled: Vec<(usize, &CampaignCell)> =
-            order.iter().map(|&i| (i, &cells[i])).collect();
-        let mut indexed: Vec<(usize, PairOutcome)> = scheduled
+        // Schedule: one rayon task per cell, costliest first. The pool's
+        // workers pull cells one at a time, so the longest cells start
+        // first and the cheap ones fill in behind them. The verifier's own
+        // recursion fans out further below parallel_depth, so the pool
+        // stays busy even for campaigns smaller than the machine.
+        let mut indexed: Vec<(usize, PairOutcome)> = costliest_first(&cells)
             .par_iter()
-            .map(|&(i, cell)| {
+            .map(|&i| {
+                let cell = &cells[i];
                 let outcome = match &cell.problem {
                     Err(reason) => self.skip(cell, *reason),
                     Ok(problem) => {
@@ -1106,7 +734,7 @@ impl Campaign {
                             self.skip(cell, SkipReason::OtherShard)
                         } else {
                             let key = (cell.functional.name().to_ascii_lowercase(), cell.condition);
-                            let out = self.run_pair(cell, problem, start, restored.get(&key), 1.0);
+                            let out = self.run_pair(cell, problem, start, restored.get(&key));
                             self.persist(&out, store.as_ref(), key);
                             out
                         }
@@ -1116,61 +744,12 @@ impl Campaign {
             })
             .collect();
         indexed.sort_by_key(|&(i, _)| i);
-        let mut pairs: Vec<PairOutcome> = indexed.into_iter().map(|(_, p)| p).collect();
-        // Budget-escalation retry rounds: re-solve still-undecided cells
-        // with compounded budgets; accept a retry only when it strictly
-        // improves (see `CampaignBuilder::budget_escalation`).
-        if let Some((factor, max_rounds)) = self.budget_escalation {
-            for round in 1..=max_rounds {
-                let scale = factor.powi(round as i32);
-                let retriable: Vec<usize> = pairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| {
-                        p.skipped.is_none()
-                            && matches!(p.mark, TableMark::Unknown | TableMark::PartiallyVerified)
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if retriable.is_empty() || self.cancel.is_cancelled() {
-                    break;
-                }
-                if self.remaining_ms(start) == Some(0) {
-                    break;
-                }
-                let retried: Vec<(usize, PairOutcome)> = retriable
-                    .par_iter()
-                    .map(|&i| {
-                        let cell = &cells[i];
-                        let Ok(problem) = &cell.problem else {
-                            unreachable!("retriable cells ran, so they encoded")
-                        };
-                        (i, self.run_pair(cell, problem, start, None, scale))
-                    })
-                    .collect();
-                for (i, out) in retried {
-                    if improves(&pairs[i], &out) {
-                        let key = (out.functional.name().to_ascii_lowercase(), out.condition);
-                        self.persist(&out, store.as_ref(), key);
-                        pairs[i] = out;
-                    }
-                }
-            }
-        }
+        let pairs: Vec<PairOutcome> = indexed.into_iter().map(|(_, p)| p).collect();
         CampaignReport {
             functionals: self.functionals.clone(),
             conditions: self.conditions.clone(),
             pairs,
             wall_ms: start.elapsed().as_millis(),
-        }
-    }
-
-    /// A cell's modeled cost: the measured [`CostModel`]'s prediction when
-    /// one is attached, else the hand-weighted [`pair_cost`].
-    fn modeled_cost(&self, cell: &CampaignCell) -> f64 {
-        match &self.cost_model {
-            Some(m) => m.predict(cell.functional.as_ref(), cell.condition),
-            None => cell.cost as f64,
         }
     }
 
@@ -1200,16 +779,13 @@ impl Campaign {
     }
 
     /// One pair's verification: `cell` names the pair, `problem` is what it
-    /// solves. `budget_scale` multiplies the per-box node/time budgets and
-    /// the pair deadline (1.0 on the primary pass; `factor^round` on
-    /// budget-escalation retries).
+    /// solves.
     fn run_pair(
         &self,
         cell: &CampaignCell,
         problem: &EncodedProblem,
         start: Instant,
         prior: Option<&CheckpointCell>,
-        budget_scale: f64,
     ) -> PairOutcome {
         let name = cell.functional.name();
         let cond = cell.condition;
@@ -1255,29 +831,12 @@ impl Campaign {
             Some(policy) => policy(cell.functional.as_ref(), cond),
             None => self.config.clone(),
         };
-        if budget_scale != 1.0 {
-            let scale = |v: u64| -> u64 {
-                if v == u64::MAX {
-                    v
-                } else {
-                    (v as f64 * budget_scale).round().min(u64::MAX as f64 / 2.0) as u64
-                }
-            };
-            config.solver.budget.max_nodes = scale(config.solver.budget.max_nodes);
-            config.solver.budget.max_millis = scale(config.solver.budget.max_millis);
-            config.pair_deadline_ms = config.pair_deadline_ms.map(scale);
-        }
         config.pair_deadline_ms = match (config.pair_deadline_ms, remaining) {
             (Some(p), Some(r)) => Some(p.min(r)),
             (p, r) => p.or(r),
         };
         if let Some(esc) = self.escalation {
-            config.solver.escalation = effective_escalation(
-                esc,
-                self.cost_model.as_ref(),
-                cell.functional.as_ref(),
-                cond,
-            );
+            config.solver.escalation = esc;
         }
         let opts = RunOptions {
             cancel: Some(self.cancel.clone()),
@@ -1454,97 +1013,31 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_order_is_a_balanced_permutation() {
-        let costs = vec![100.0, 1.0, 1.0, 1.0, 50.0, 1.0, 1.0, 40.0];
-        let order = cost_aware_order(&costs, 4);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-        // The costliest cell leads, and the three heavy cells land in three
-        // different worker chunks (chunk size = 8 / 4 workers = 2).
-        assert_eq!(order[0], 0);
-        let chunk_of = |cell: usize| order.iter().position(|&i| i == cell).unwrap() / 2;
-        let chunks = [chunk_of(0), chunk_of(4), chunk_of(7)];
+    fn cells_dispatch_costliest_first_and_shards_deal_longest_first() {
+        let problem = Arc::new(Encoder::encode(Dfa::VwnRpa, Condition::EcNonPositivity).unwrap());
+        let cells: Vec<CampaignCell> = [(3, true), (5, true), (3, true), (1, true), (4, true)]
+            .into_iter()
+            .chain([(9, false)])
+            .map(|(cost, encoded)| CampaignCell {
+                functional: Dfa::VwnRpa.into_handle(),
+                condition: Condition::EcNonPositivity,
+                cost,
+                problem: if encoded {
+                    Ok(Arc::clone(&problem))
+                } else {
+                    Err(SkipReason::NotApplicable)
+                },
+            })
+            .collect();
+        // Descending cost; the two cost-3 cells keep matrix order.
+        assert_eq!(costliest_first(&cells), vec![5, 1, 4, 0, 2, 3]);
+        // LPT over two shards: 5 -> s0, 4 -> s1, 3 -> s1 (4 < 5), 3 -> s0
+        // (5 < 7), 1 -> s1 (7 < 8); the cell that never encoded stays
+        // unassigned.
         assert_eq!(
-            chunks
-                .iter()
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            3,
-            "{order:?}"
+            shard_assignment(&cells, 2),
+            vec![Some(1), Some(0), Some(0), Some(1), Some(1), None]
         );
-        // Degenerate worker counts stay permutations.
-        assert_eq!(cost_aware_order(&costs, 1).len(), 8);
-        assert_eq!(cost_aware_order(&[], 4), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn fitted_model_recovers_multiplicative_costs() {
-        // Synthetic wall-clocks drawn from an exact multiplicative law:
-        // the log-linear least squares must recover it (r² ≈ 1) and the
-        // predictions must reproduce the ratios.
-        let mut samples = Vec::new();
-        for fam in [1.0f64, 4.0, 16.0] {
-            for fan in [2.0f64, 4.0, 8.0, 16.0] {
-                for class in [1.0f64, 2.0, 3.0, 6.0] {
-                    let ms = 0.5 * fam.powf(1.3) * fan.powf(0.7) * class.powf(1.1);
-                    samples.push(([fam, fan, class], ms));
-                }
-            }
-        }
-        let m = CostModel::fit(&samples).unwrap();
-        assert_eq!(m.samples, samples.len());
-        assert!(m.r2 > 0.99, "r² = {}", m.r2);
-        // Ratio check through the public predictor: SCAN/EC3 features vs
-        // VWN/EC1 features differ by a large factor in the law above.
-        use xcv_functionals::Functional;
-        let heavy = m.predict(&Dfa::Scan, Condition::UcMonotonicity);
-        let light = m.predict(&Dfa::VwnRpa, Condition::EcNonPositivity);
-        assert!(heavy > 10.0 * light, "{heavy} vs {light}");
-        let _ = Dfa::Scan.info();
-    }
-
-    #[test]
-    fn degenerate_samples_still_fit() {
-        // One family, one condition class: two feature columns are constant
-        // (collinear with the intercept); the ridge keeps the system
-        // solvable and predictions finite and positive.
-        let samples = vec![
-            ([4.0, 4.0, 3.0], 10.0),
-            ([4.0, 4.0, 3.0], 12.0),
-            ([4.0, 4.0, 3.0], 11.0),
-        ];
-        let m = CostModel::fit(&samples).unwrap();
-        let p = m.predict(&Dfa::Pbe, Condition::EcScaling);
-        assert!(p.is_finite() && p > 0.0);
-        assert!(CostModel::fit(&[]).is_none());
-    }
-
-    #[test]
-    fn campaign_fits_model_from_recorded_walls_and_reschedules() {
-        // A campaign's own report carries enough to fit a model, and a
-        // campaign run under that model produces identical marks.
-        let base = Campaign::builder()
-            .functionals([Dfa::VwnRpa, Dfa::Lyp])
-            .conditions([Condition::EcNonPositivity, Condition::EcScaling])
-            .config(quick_config(3_000))
-            .schedule(CampaignSchedule::MatrixOrder)
-            .build()
-            .unwrap()
-            .run();
-        let model = base.fit_cost_model().expect("cells ran");
-        assert_eq!(model.samples, 4);
-        let refit = Campaign::builder()
-            .functionals([Dfa::VwnRpa, Dfa::Lyp])
-            .conditions([Condition::EcNonPositivity, Condition::EcScaling])
-            .config(quick_config(3_000))
-            .cost_model(model)
-            .build()
-            .unwrap()
-            .run();
-        for (a, b) in base.pairs.iter().zip(&refit.pairs) {
-            assert_eq!(a.mark, b.mark, "{} / {}", a.functional_name(), a.condition);
-        }
     }
 
     #[test]
@@ -1593,61 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn persisted_cost_model_round_trips() {
-        let m = CostModel {
-            weights: [-2.337412, 2.58292, -0.328711, 1.590768],
-            samples: 45,
-            r2: 0.7678,
-        };
-        let path = std::env::temp_dir().join(format!("xcv_cost_model_{}.json", std::process::id()));
-        let json = format!(
-            "{{\n  \"schema\": \"xcv-bench-solver/v5\",\n  \"cost_model\": {{\"kind\": \
-             \"log-linear\", \"features\": [\"family\", \"2^ndim\", \"condition_class\"], \
-             \"weights\": [{}, {}, {}, {}], \"samples\": {}, \"r2\": {}}}\n}}\n",
-            m.weights[0], m.weights[1], m.weights[2], m.weights[3], m.samples, m.r2
-        );
-        std::fs::write(&path, json).unwrap();
-        let got = CostModel::load_bench_json(&path).expect("well-formed entry");
-        std::fs::remove_file(&path).ok();
-        // f64 Display round-trips exactly, so the loaded model is the model.
-        assert_eq!(got, m);
-        // Missing file or entry degrade to None (callers fall back).
-        assert!(CostModel::load_bench_json("/nonexistent/bench.json").is_none());
-        let bad = std::env::temp_dir().join(format!("xcv_no_model_{}.json", std::process::id()));
-        std::fs::write(&bad, "{\"schema\": \"xcv-bench-solver/v5\"}").unwrap();
-        assert!(CostModel::load_bench_json(&bad).is_none());
-        std::fs::remove_file(&bad).ok();
-    }
-
-    #[test]
-    fn sub_millisecond_cells_keep_the_plain_hc4_path() {
-        let flat = |c: f64| CostModel {
-            weights: [c, 0.0, 0.0, 0.0],
-            samples: 45,
-            r2: 0.9,
-        };
-        let full = xcv_solver::Escalation::full();
-        // No model attached: the campaign-wide ladder stands.
-        assert_eq!(
-            effective_escalation(full, None, &Dfa::VwnRpa, Condition::EcNonPositivity),
-            full
-        );
-        // The model predicts sub-millisecond (e^0 = 1 < 2): ladder off.
-        let cheap = flat(0.0);
-        assert_eq!(
-            effective_escalation(full, Some(&cheap), &Dfa::VwnRpa, Condition::EcNonPositivity),
-            xcv_solver::Escalation::off()
-        );
-        // The model predicts an expensive cell: the requested ladder stands.
-        let heavy = flat(5.0);
-        assert_eq!(
-            effective_escalation(full, Some(&heavy), &Dfa::Scan, Condition::UcMonotonicity),
-            full
-        );
-    }
-
-    #[test]
-    fn cost_model_ranks_families_and_conditions() {
+    fn pair_cost_ranks_families_and_conditions() {
         use xcv_functionals::Functional;
         // Rung and arity dominate: SCAN EC1 above VWN EC3; within one
         // functional, the second-derivative condition is the costliest.
@@ -1664,27 +1103,31 @@ mod tests {
     }
 
     #[test]
-    fn schedules_agree_and_report_stays_matrix_ordered() {
-        let run = |schedule| {
-            Campaign::builder()
-                .functionals([Dfa::VwnRpa, Dfa::Lyp])
-                .conditions([Condition::EcNonPositivity, Condition::EcScaling])
-                .config(quick_config(5_000))
-                .schedule(schedule)
-                .build()
-                .unwrap()
-                .run()
-        };
-        let cost = run(CampaignSchedule::CostAware);
-        let matrix = run(CampaignSchedule::MatrixOrder);
-        // Whatever order cells executed in, the report is functional-major.
-        let names: Vec<String> = cost.pairs.iter().map(|p| p.functional_name()).collect();
+    fn report_stays_matrix_ordered_whatever_the_dispatch_order() {
+        // LYP (a GGA) outranks VWN RPA (an LDA), so LYP's cells dispatch
+        // first; the report is still functional-major, and every mark is
+        // the one the cell gets verified on its own.
+        let conditions = [Condition::EcNonPositivity, Condition::EcScaling];
+        let report = Campaign::builder()
+            .functionals([Dfa::VwnRpa, Dfa::Lyp])
+            .conditions(conditions)
+            .config(quick_config(5_000))
+            .build()
+            .unwrap()
+            .run();
+        let names: Vec<String> = report.pairs.iter().map(|p| p.functional_name()).collect();
         assert_eq!(names, vec!["VWN RPA", "VWN RPA", "LYP", "LYP"]);
-        for (a, b) in cost.pairs.iter().zip(&matrix.pairs) {
-            assert_eq!(a.condition, b.condition);
-            assert_eq!(a.mark, b.mark, "{} / {}", a.functional_name(), a.condition);
-            assert_eq!(a.cost, b.cost);
-            assert!(a.cost > 0);
+        for p in &report.pairs {
+            assert_eq!(p.cost, pair_cost(p.functional.as_ref(), p.condition));
+            let direct = Encoder::encode(Arc::clone(&p.functional), p.condition).unwrap();
+            let direct = Verifier::new(quick_config(5_000)).verify(&direct);
+            assert_eq!(
+                p.mark,
+                direct.table_mark(),
+                "{} / {}",
+                p.functional_name(),
+                p.condition
+            );
         }
     }
 

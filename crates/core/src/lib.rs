@@ -23,7 +23,8 @@
 //!   verified / counterexample / inconclusive / timeout regions, with the
 //!   aggregation rules that produce the paper's Table I marks.
 //! * [`Campaign`] — whole verification matrices (functionals × conditions)
-//!   scheduled across rayon with per-pair deadlines, a global budget,
+//!   handed to rayon costliest-first by [`pair_cost`], whose workers pull
+//!   one cell at a time; with per-pair deadlines, a global budget,
 //!   streamed [`CampaignEvent`]s, cancellation, and a structured
 //!   [`CampaignReport`] the report crate renders into Tables I/II.
 
@@ -39,8 +40,8 @@ mod verifier;
 
 pub use cache::{space_fingerprint, ProblemCache, ProblemKey};
 pub use campaign::{
-    pair_cost, pair_features, Campaign, CampaignBuilder, CampaignEvent, CampaignReport,
-    CampaignSchedule, CancelToken, CostModel, PairOutcome, SkipReason,
+    pair_cost, Campaign, CampaignBuilder, CampaignEvent, CampaignReport, CancelToken, PairOutcome,
+    SkipReason,
 };
 pub use certify::build_certificate;
 pub use checkpoint::checkpoint_marks;

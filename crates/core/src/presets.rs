@@ -60,14 +60,3 @@ pub fn config_for(f: &dyn Functional, budget_ms: u64) -> VerifierConfig {
 pub fn verifier_for(f: &dyn Functional, budget_ms: u64) -> Verifier {
     Verifier::new(config_for(f, budget_ms))
 }
-
-/// The measured scheduler cost model persisted by `solver_bench` — the
-/// `cost_model` entry of `BENCH_solver.json` (`XCV_COST_MODEL` overrides the
-/// path). The `repro`, `xcverify`, and `xcvserve` binaries attach it at
-/// startup so long campaigns start from *measured* weights; `None` (no
-/// file, no entry, or a malformed one) falls back to the hand-weighted
-/// `pair_cost` ranking.
-pub fn load_cost_model() -> Option<crate::CostModel> {
-    let path = std::env::var("XCV_COST_MODEL").unwrap_or_else(|_| "BENCH_solver.json".to_string());
-    crate::CostModel::load_bench_json(path)
-}

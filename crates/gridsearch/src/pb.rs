@@ -249,19 +249,24 @@ pub fn pb_check(
             })
             .collect()
     });
-    let pass: Vec<bool> = (0..n0 * rest)
+    let pass: Vec<bool> = (0..n0)
         .into_par_iter()
-        .map(|k| {
-            point_pass(
-                condition,
-                axes[0][k / rest],
-                fc[k],
-                dfc[k],
-                d2fc[k],
-                fc_inf[k % rest],
-                fxc.as_ref().map(|v| v[k]),
-                config.tol,
-            )
+        .flat_map_iter(|i| {
+            let (fc, dfc, d2fc, fc_inf, fxc) = (&fc, &dfc, &d2fc, &fc_inf, &fxc);
+            let rs = axes[0][i];
+            (0..rest).map(move |t| {
+                let k = i * rest + t;
+                point_pass(
+                    condition,
+                    rs,
+                    fc[k],
+                    dfc[k],
+                    d2fc[k],
+                    fc_inf[t],
+                    fxc.as_ref().map(|v| v[k]),
+                    config.tol,
+                )
+            })
         })
         .collect();
     Ok(GridResult {

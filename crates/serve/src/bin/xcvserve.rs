@@ -24,8 +24,9 @@
 //! * `--quiet` — suppress the startup line.
 //!
 //! The daemon runs until a client sends `{"cmd": "shutdown"}` (or the
-//! process is signalled). The scheduler cost model is loaded the same way
-//! `xcverify` loads it: `$XCV_COST_MODEL` or `BENCH_solver.json`.
+//! process is signalled). A request's campaign dispatches its cells
+//! costliest-first by `pair_cost`, which depends only on the matrix,
+//! exactly as the in-process `xcverify` does.
 
 use xcv_serve::{Server, ServerConfig};
 
@@ -70,7 +71,6 @@ fn main() {
             _ => usage(),
         }
     }
-    config.cost_model = xcv_core::presets::load_cost_model();
     let mut server = match Server::spawn(config) {
         Ok(s) => s,
         Err(e) => {

@@ -39,8 +39,7 @@ use std::time::{Duration, Instant};
 use xcv_conditions::Condition;
 use xcv_core::cache::{ProblemCache, ProblemKey};
 use xcv_core::{
-    Campaign, CampaignEvent, CostModel, FaultPlan, FaultSite, RegionMap, RegionStatus, SkipReason,
-    TableMark,
+    Campaign, CampaignEvent, FaultPlan, FaultSite, RegionMap, RegionStatus, SkipReason, TableMark,
 };
 use xcv_functionals::{FunctionalHandle, Registry};
 
@@ -80,8 +79,6 @@ pub struct ServerConfig {
     /// this many milliseconds are written to `store_dir`; cheaper ones are
     /// recomputed on restart.
     pub admit_ms: u64,
-    /// Scheduler cost model for lead campaigns (fitted from a bench run).
-    pub cost_model: Option<CostModel>,
     /// Socket read timeout: a connection idle (or wedged mid-line) this
     /// long is reaped. `None` disables.
     pub read_timeout: Option<Duration>,
@@ -111,7 +108,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             store_dir: None,
             admit_ms: 5,
-            cost_model: None,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
             request_deadline_ms: None,
@@ -126,7 +122,6 @@ struct State {
     registry: Registry,
     problems: Arc<ProblemCache>,
     results: ResultStore,
-    cost_model: Option<CostModel>,
     request_deadline_ms: Option<u64>,
     wait_timeout: Duration,
     fault_plan: Option<Arc<FaultPlan>>,
@@ -162,7 +157,6 @@ impl Server {
             registry: Registry::spin_general(),
             problems: Arc::new(ProblemCache::new()),
             results,
-            cost_model: config.cost_model,
             request_deadline_ms: config.request_deadline_ms,
             wait_timeout: config.wait_timeout,
             fault_plan: config.fault_plan,
@@ -692,9 +686,6 @@ fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
                     send(&writer, &mapped);
                 }
             });
-        if let Some(model) = &state.cost_model {
-            builder = builder.cost_model(model.clone());
-        }
         if let Some(ms) = remaining_ms(deadline) {
             // The campaign's own budget machinery enforces the request
             // deadline: pairs past it are skipped (BudgetExhausted) and

@@ -6,20 +6,24 @@
 //! (`par_iter`, `into_par_iter`, `map`, `flat_map_iter`, `reduce`, `collect`)
 //! while providing genuine multi-core execution:
 //!
-//! * work is split into one contiguous chunk per claimed CPU and executed on
-//!   scoped threads, preserving item order on `collect`;
+//! * each terminal operation spawns scoped workers that *pull* item indices
+//!   from one shared atomic cursor, one index per pull, so a worker that
+//!   finishes a cheap item takes the next one instead of idling while
+//!   another works through a fixed chunk of expensive ones. Results are
+//!   placed by index: `collect` keeps item order and `reduce` folds in
+//!   index order. The calling thread only joins;
 //! * a global permit counter bounds the *total* number of live worker
 //!   threads across nested invocations (the verifier recursion fans out at
 //!   several depths), degrading gracefully to sequential execution when the
-//!   machine is saturated — the moral equivalent of rayon's work-stealing
-//!   pool without the pool.
+//!   machine is saturated. Permits go back after the join, also when a
+//!   worker panics, so a caught panic never shrinks the pool.
 //!
 //! Only what the workspace needs is implemented; this is not a general rayon
 //! replacement.
 //!
 //! [rayon's]: https://docs.rs/rayon
 
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice};
@@ -36,71 +40,87 @@ fn hardware_threads() -> isize {
         .unwrap_or(4)
 }
 
-/// Claim up to `want` extra worker threads; returns how many were granted.
-fn claim(want: isize) -> isize {
-    if want <= 0 {
-        return 0;
-    }
-    // Lazy init: the first caller seeds the counter.
-    let _ = PERMITS.compare_exchange(
-        -1,
-        hardware_threads() - 1,
-        Ordering::SeqCst,
-        Ordering::SeqCst,
-    );
-    let mut granted = 0;
-    while granted < want {
-        let cur = PERMITS.load(Ordering::SeqCst);
-        if cur <= 0 {
-            break;
+/// Extra worker threads claimed from [`PERMITS`]; dropping the claim
+/// returns them, on unwinding too.
+struct Permits(isize);
+
+impl Permits {
+    /// Claim up to `want` extra worker threads (possibly none).
+    fn claim(want: isize) -> Permits {
+        if want <= 0 {
+            return Permits(0);
         }
-        let take = (cur).min(want - granted);
-        if PERMITS
-            .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            granted += take;
+        // Lazy init: the first caller seeds the counter.
+        let _ = PERMITS.compare_exchange(
+            -1,
+            hardware_threads() - 1,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        let mut granted = 0;
+        while granted < want {
+            let cur = PERMITS.load(Ordering::SeqCst);
+            if cur <= 0 {
+                break;
+            }
+            let take = cur.min(want - granted);
+            if PERMITS
+                .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                granted += take;
+            }
         }
+        Permits(granted)
     }
-    granted
 }
 
-fn release(n: isize) {
-    if n > 0 {
-        PERMITS.fetch_add(n, Ordering::SeqCst);
+impl Drop for Permits {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            PERMITS.fetch_add(self.0, Ordering::SeqCst);
+        }
     }
 }
 
-/// Run `f(chunk_index)` for each of `pieces` index ranges over `0..len`,
-/// on up to `granted + 1` threads, returning per-chunk outputs in order.
-fn run_chunked<R, F>(len: usize, f: F) -> Vec<R>
+/// Compute `f(i)` for every `i` in `0..len` and return the results in index
+/// order. With permits granted, `extra + 1` scoped workers pull indices from
+/// one shared cursor while the calling thread joins; without, the calling
+/// thread runs every item itself.
+fn pull_each<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    if len == 0 {
-        return Vec::new();
+    let permits = Permits::claim((len as isize - 1).min(hardware_threads() - 1));
+    if permits.0 == 0 {
+        return (0..len).map(f).collect();
     }
-    let extra = claim((len as isize - 1).min(hardware_threads() - 1));
-    let pieces = (extra + 1) as usize;
-    if pieces <= 1 {
-        release(extra);
-        return vec![f(0..len)];
-    }
-    let chunk = len.div_ceil(pieces);
-    let bounds: Vec<std::ops::Range<usize>> = (0..pieces)
-        .map(|i| (i * chunk).min(len)..((i + 1) * chunk).min(len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let out = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds.into_iter().map(|r| scope.spawn(|| f(r))).collect();
-        handles
+    let cursor = AtomicUsize::new(0);
+    let pulled: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..=permits.0)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            return out;
+                        }
+                        out.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
             .into_iter()
-            .map(|h| h.join().expect("rayon-shim worker panicked"))
-            .collect::<Vec<R>>()
+            .map(|w| w.join().expect("rayon-shim worker panicked"))
+            .collect()
     });
-    release(extra);
-    out
+    drop(permits);
+    let mut placed: Vec<(usize, R)> = pulled.into_iter().flatten().collect();
+    placed.sort_unstable_by_key(|&(i, _)| i);
+    placed.into_iter().map(|(_, r)| r).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -109,7 +129,7 @@ where
 
 /// A "parallel iterator": a deferred pipeline over an indexable base.
 /// Every adapter keeps the item-producing closure; terminal operations
-/// execute the pipeline chunk-wise across threads.
+/// execute the pipeline across the pulling workers.
 pub trait ParallelIterator: Sized + Sync {
     type Item: Send;
 
@@ -127,7 +147,8 @@ pub trait ParallelIterator: Sized + Sync {
     }
 
     /// rayon's `flat_map_iter`: map each item to a *serial* iterator and
-    /// flatten. The flattening happens inside each chunk, preserving order.
+    /// flatten. Each item expands on the worker that pulled it; `collect`
+    /// concatenates the expansions in item order.
     fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
     where
         U: IntoIterator,
@@ -143,14 +164,9 @@ pub trait ParallelIterator: Sized + Sync {
         ID: Fn() -> Self::Item + Sync + Send,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
     {
-        let chunks = run_chunked(self.p_len(), |r| {
-            let mut acc = identity();
-            for i in r {
-                acc = op(acc, self.p_get(i));
-            }
-            acc
-        });
-        chunks.into_iter().fold(identity(), &op)
+        pull_each(self.p_len(), |i| self.p_get(i))
+            .into_iter()
+            .fold(identity(), op)
     }
 
     /// Collect into any `FromIterator` collection, preserving item order.
@@ -159,20 +175,14 @@ pub trait ParallelIterator: Sized + Sync {
     }
 }
 
-/// Flattening terminal support: pipelines whose chunks natively produce
-/// multiple outputs (`flat_map_iter`) override this.
+/// A collection [`ParallelIterator::collect`] can build, in item order.
 pub trait FromParallelIterator<T: Send> {
     fn from_par_iter<P: ParallelIterator<Item = T>>(p: P) -> Self;
 }
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<P: ParallelIterator<Item = T>>(p: P) -> Self {
-        let chunks = run_chunked(p.p_len(), |r| r.map(|i| p.p_get(i)).collect::<Vec<T>>());
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
-        }
-        out
+        pull_each(p.p_len(), |i| p.p_get(i))
     }
 }
 
@@ -239,7 +249,7 @@ impl IntoParallelIterator for std::ops::Range<usize> {
 }
 
 /// Owned-Vec source: items are moved out exactly once (each index is visited
-/// once by construction of `run_chunked`).
+/// once: the shared cursor hands out every index exactly once).
 pub struct ParVec<T: Send> {
     items: Vec<std::sync::Mutex<Option<T>>>,
 }
@@ -299,7 +309,7 @@ pub struct FlatMapIter<B, F> {
 }
 
 /// `flat_map_iter` pipelines only support `collect::<Vec<_>>()`; each base
-/// item expands in place, so chunk outputs stay ordered.
+/// item expands on its worker, and the expansions join in item order.
 impl<B, F, U> FlatMapIter<B, F>
 where
     B: ParallelIterator,
@@ -308,18 +318,10 @@ where
     F: Fn(B::Item) -> U + Sync + Send,
 {
     pub fn collect<C: From<Vec<U::Item>>>(self) -> C {
-        let chunks = run_chunked(self.base.p_len(), |r| {
-            let mut out = Vec::new();
-            for i in r {
-                out.extend((self.f)(self.base.p_get(i)));
-            }
-            out
+        let parts = pull_each(self.base.p_len(), |i| {
+            (self.f)(self.base.p_get(i)).into_iter().collect::<Vec<_>>()
         });
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
-        }
-        C::from(out)
+        C::from(parts.into_iter().flatten().collect::<Vec<_>>())
     }
 }
 

@@ -79,8 +79,9 @@
 //! Newton prunes/contractions and shaved slabs are recorded as
 //! [`TraceEvent`]s and serialize into `xcv-cert` certificates the
 //! solver-free checker re-derives. Campaigns opt in with
-//! `CampaignBuilder::escalation` (cheap pairs are demoted to rung 0 by the
-//! measured cost model).
+//! `CampaignBuilder::escalation`; the verifier then runs the ladder only as
+//! a retry of a box whose rung-0 solve timed out, so a box that never stalls
+//! never pays for it.
 //!
 //! Soundness invariant: a box is discarded only when interval reasoning
 //! *proves* it contains no solution — HC4, the Newton enclosure/row

@@ -116,10 +116,11 @@
 //! dependency bitsets computed at compile time (`IntervalTape::deps`)
 //! mean that only the slots downstream of the probed axis are recomputed.
 //!
-//! Campaigns also start *measured* when a persisted scheduler model is
-//! available: `repro` and `xcverify` load the `cost_model` entry of
-//! `BENCH_solver.json` at startup ([`prelude::CostModel::load_bench_json`])
-//! and fall back to the hand-weighted [`prelude::pair_cost`] otherwise.
+//! Campaigns hand their cells to rayon costliest-first by
+//! [`prelude::pair_cost`], a function of the matrix alone. The workers pull
+//! one cell at a time, so the longest cells start first and never straggle
+//! at the tail of the pool, and `--shard` ownership is the same in every
+//! process.
 //!
 //! ## Typed variable spaces and the spin-general (ζ ≠ 0) workload
 //!
@@ -148,10 +149,8 @@
 //! `(rs, s↑, s↓, ζ)` — per-spin reduced gradients that no positional arity
 //! convention could name. The encoder, the compiled-tape solver, the
 //! campaign scheduler and the grid baseline run all of them unchanged, and
-//! the cost-aware scheduler ([`prelude::pair_cost`], or better a
-//! [`prelude::CostModel`] *fit from measured wall-clocks* via
-//! [`prelude::CampaignBuilder::cost_model`]) starts the biggest cells first
-//! so they never straggle at the tail of the pool.
+//! [`prelude::pair_cost`] ranks a 4-D spin cell above the 1-D LDA cell of
+//! the same condition, so the campaign starts it first.
 //!
 //! ```
 //! use xcverifier::prelude::*;
@@ -315,10 +314,9 @@ pub mod prelude {
     pub use xcv_cert::{CertEvent, CertRegion, CertVerdict, Certificate, CheckReport};
     pub use xcv_conditions::{applicable_pairs, applicable_pairs_in, pb_domain, Condition, C_LO};
     pub use xcv_core::{
-        build_certificate, checkpoint_marks, pair_cost, pair_features, Campaign, CampaignBuilder,
-        CampaignEvent, CampaignReport, CampaignSchedule, CancelToken, CostModel, EncodedProblem,
-        Encoder, PairOutcome, Region, RegionMap, RegionStatus, RunOptions, RunOutput, SkipReason,
-        TableMark, Verifier, VerifierConfig,
+        build_certificate, checkpoint_marks, pair_cost, Campaign, CampaignBuilder, CampaignEvent,
+        CampaignReport, CancelToken, EncodedProblem, Encoder, PairOutcome, Region, RegionMap,
+        RegionStatus, RunOptions, RunOutput, SkipReason, TableMark, Verifier, VerifierConfig,
     };
     pub use xcv_expr::{constant, var, Axis, AxisKind, Expr, VarSet, VarSpace};
     pub use xcv_functionals::{

@@ -247,7 +247,7 @@ fn spin_campaign_compiles_once_per_cell() {
 #[test]
 fn spin_scheduling_costs_rank_above_scalar_lda() {
     let _guard = COUNTER_WINDOW.lock().unwrap();
-    // The cost model drives costliest-first scheduling: a 4-D spin pair must
+    // `pair_cost` drives costliest-first dispatch: a 4-D spin pair must
     // outrank the 1-D LDA pair of the same condition, and SCAN/EC3 stays the
     // heaviest cell of the spin-general matrix.
     let spin_pbe = SpinResolved::pbe();
