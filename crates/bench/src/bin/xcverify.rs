@@ -26,10 +26,17 @@
 //! witnesses, so the refutation ships with its own replayable evidence.
 //!
 //! `--ladder` arms the contractor escalation ladder ([`xcv_solver::
-//! Escalation::full`]): boxes where HC4 stalls get interval-Newton sweeps
-//! and 3B slab shaving instead of timing out. Marks only ever improve —
-//! timeouts become decisions, spurious δ-sat leaves become sound `Unsat`
-//! proofs — and every ladder step stays replayable under `--emit-certs`.
+//! Escalation::full`]) in every pair's verifier config: boxes where HC4
+//! stalls get interval-Newton sweeps and 3B slab shaving instead of timing
+//! out. Marks only ever improve — timeouts become decisions, spurious δ-sat
+//! leaves become sound `Unsat` proofs — and every ladder step stays
+//! replayable under `--emit-certs`, whose certificate headers record the
+//! ladder as part of the config that ran.
+//!
+//! `--deadline-ms N` stops the whole run N ms after it starts. Pairs not
+//! started by then, and pairs still running, are reported as never run
+//! (exit 3), never with the partial mark the cut left behind; with
+//! `--checkpoint`, re-running the command resumes them where they stopped.
 //!
 //! `--checkpoint PATH` persists progress (atomically, after every pair);
 //! re-running the same command resumes mid-matrix — even mid-pair — with
@@ -52,32 +59,20 @@
 //!
 //! Exit status: 0 when every checked condition ran and none was refuted;
 //! 1 when any counterexample is found; 2 on usage errors; 3 when the
-//! `--deadline-ms` budget (or a defect in the functional) skipped one or
-//! more conditions — an incomplete run must not read as a green gate. A CI
-//! job can therefore gate a functional-implementation change on `xcverify`.
+//! `--deadline-ms` deadline (or a defect in the functional) cut or skipped
+//! one or more conditions — an incomplete run must not read as a green
+//! gate. A CI job can therefore gate a functional-implementation change on
+//! `xcverify`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 use xcv_conditions::Condition;
-use xcv_core::{checkpoint_marks, Campaign, CampaignEvent, CampaignReport, SkipReason, TableMark};
+use xcv_core::{
+    checkpoint_marks, Campaign, CampaignEvent, CampaignReport, CancelToken, SkipReason, TableMark,
+};
 use xcv_functionals::{FunctionalHandle, Registry};
-use xcv_serve::{Client, Event, Policy, VerifyRequest};
-
-/// Resolve a CLI name against the registry (aliases included; the spin
-/// citizens get ASCII aliases so no shell has to type `ζ`).
-fn lookup_dfa(registry: &Registry, name: &str) -> Option<FunctionalHandle> {
-    let canonical = match name.to_ascii_uppercase().as_str() {
-        "VWN" | "VWN_RPA" | "VWNRPA" => "VWN RPA".to_string(),
-        "RSCAN" | "RSCAN_REG" => "rSCAN(reg)".to_string(),
-        "PBE_SPIN" | "PBEZ" | "PBE(Z)" => "PBE(ζ)".to_string(),
-        "PW92_SPIN" | "PW92Z" | "PW92(Z)" => "PW92(ζ)".to_string(),
-        "LSDA_X" | "LSDAX" | "LSDA-X" | "LSDA-X(Z)" => "LSDA-X(ζ)".to_string(),
-        "B88_SPIN" | "B88Z" | "B88(Z)" => "B88(ζ)".to_string(),
-        "PBEX_SPIN" | "PBEX" | "PBE-X" | "PBE-X(Z)" => "PBE-X(ζ)".to_string(),
-        other => other.to_string(),
-    };
-    registry.get(&canonical)
-}
+use xcv_serve::{canonical_name, Client, Event, Policy, VerifyRequest};
 
 fn parse_condition(name: &str) -> Option<Condition> {
     match name.to_ascii_lowercase().as_str() {
@@ -235,7 +230,7 @@ fn run_against_server(
                     };
                     out(format!(
                         "  [{}] counterexample at ({coords})",
-                        short_name(*condition)
+                        condition.id()
                     ));
                 }
             }
@@ -255,7 +250,7 @@ fn run_against_server(
                     }
                 }
                 Some(tag) if tag != "na" && tag != "other_shard" => {
-                    unrun.push(format!("{functional}/{}", short_name(*condition)));
+                    unrun.push(format!("{functional}/{}", condition.id()));
                 }
                 Some(_) => {}
             },
@@ -329,13 +324,15 @@ fn main() -> ExitCode {
                 println!("DFAs: {}", registry.names().join(" "));
                 println!("conditions:");
                 for c in Condition::all() {
-                    println!("  {:8} {}", short_name(c), c);
+                    println!("  {:8} {}", c.id(), c);
                 }
                 return ExitCode::SUCCESS;
             }
             "--dfa" => {
                 i += 1;
-                dfa = args.get(i).and_then(|s| lookup_dfa(&registry, s));
+                // Aliases included: the spin citizens get ASCII aliases so
+                // no shell has to type `ζ`.
+                dfa = args.get(i).and_then(|s| registry.get(&canonical_name(s)));
                 if dfa.is_none() {
                     return usage();
                 }
@@ -516,12 +513,24 @@ fn main() -> ExitCode {
         }
     }
 
+    // `--ladder` arms the contractor escalation ladder in the config each
+    // pair runs: a box that times out at rung 0 is retried with
+    // interval-Newton and 3B shaving.
     let mut builder = Campaign::builder()
         .functionals(targets)
         .conditions(conditions)
-        .config_policy(move |f, _| policy.verifier_config(f));
-    if let Some(ms) = deadline_ms {
-        builder = builder.global_budget_ms(ms);
+        .config_policy(move |f, _| {
+            let mut config = policy.verifier_config(f);
+            if ladder {
+                config.solver.escalation = xcv_solver::Escalation::full();
+            }
+            config
+        });
+    // A deadline past the end of time is no deadline.
+    if let Some(deadline) =
+        deadline_ms.and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)))
+    {
+        builder = builder.cancel_token(CancelToken::until(deadline));
     }
     if emit_certs.is_some() {
         builder = builder.emit_certificates(true);
@@ -531,11 +540,6 @@ fn main() -> ExitCode {
     }
     if let Some((index, of)) = shard {
         builder = builder.shard(index, of);
-    }
-    // `--ladder` arms the contractor escalation ladder: a box that times
-    // out at rung 0 is retried with interval-Newton and 3B shaving.
-    if ladder {
-        builder = builder.escalation(xcv_solver::Escalation::full());
     }
     if !quiet {
         // Pairs run concurrently, so cap witness lines per (functional,
@@ -573,10 +577,7 @@ fn main() -> ExitCode {
                             .collect::<Vec<_>>()
                             .join(", "),
                     };
-                    println!(
-                        "  [{}] counterexample at ({coords})",
-                        short_name(*condition)
-                    );
+                    println!("  [{}] counterexample at ({coords})", condition.id());
                 }
             }
             _ => {}
@@ -618,10 +619,10 @@ fn main() -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
-    // A condition the campaign never ran (deadline hit, defect) is not a
-    // pass: refuse to green-light an incomplete gate. Cells owned by a
-    // sibling `--shard` process are its responsibility, not an incomplete
-    // run here — `--merge` audits the union.
+    // A condition the campaign never ran or did not finish (deadline hit,
+    // defect) is not a pass: refuse to green-light an incomplete gate.
+    // Cells owned by a sibling `--shard` process are its responsibility,
+    // not an incomplete run here — `--merge` audits the union.
     let unrun: Vec<String> = report
         .pairs
         .iter()
@@ -631,7 +632,7 @@ fn main() -> ExitCode {
                 None | Some(SkipReason::NotApplicable) | Some(SkipReason::OtherShard)
             )
         })
-        .map(|p| format!("{}/{}", p.functional_name(), short_name(p.condition)))
+        .map(|p| format!("{}/{}", p.functional_name(), p.condition.id()))
         .collect();
     if !unrun.is_empty() {
         eprintln!(
@@ -642,16 +643,4 @@ fn main() -> ExitCode {
         return ExitCode::from(3);
     }
     ExitCode::SUCCESS
-}
-
-fn short_name(c: Condition) -> &'static str {
-    match c {
-        Condition::EcNonPositivity => "ec1",
-        Condition::EcScaling => "ec2",
-        Condition::UcMonotonicity => "ec3",
-        Condition::TcUpperBound => "ec6",
-        Condition::ConjTcUpperBound => "ec7",
-        Condition::LiebOxford => "ec4",
-        Condition::LiebOxfordExt => "ec5",
-    }
 }

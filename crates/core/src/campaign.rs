@@ -12,14 +12,17 @@
 //!   handed to rayon costliest-first by [`pair_cost`] (ties in matrix
 //!   order). The pool's workers pull one cell at a time, so the order alone
 //!   gives greedy longest-first scheduling: no cell waits behind another in
-//!   a fixed share of the matrix. Each pair keeps the per-pair deadline
-//!   from the verifier config; a global wall-clock budget bounds the whole
-//!   campaign, and pairs reached after it expires are recorded as skipped
-//!   rather than run;
+//!   a fixed share of the matrix. Every pair runs exactly the
+//!   [`VerifierConfig`] its config policy returns;
+//! * **stopping** — one [`CancelToken`] stops the campaign, from any thread
+//!   or, built with [`CancelToken::until`], at a wall-clock deadline. Pairs
+//!   not started are skipped and a running pair's unexamined boxes become
+//!   [`RegionStatus::Cancelled`] leaves, so a cut pair is reported as
+//!   [`SkipReason::Cancelled`], never as answered, and a checkpoint resumes
+//!   it mid-tree;
 //! * **observing** — [`CampaignEvent`]s stream through a callback (or the
 //!   [`CampaignBuilder::event_channel`] convenience) as pairs start, finish,
-//!   and produce counterexamples; a [`CancelToken`] stops the campaign at
-//!   pair granularity from any thread;
+//!   and produce counterexamples;
 //! * **reporting** — the result is a structured [`CampaignReport`] that
 //!   `xcv_report` renders directly into the paper's Tables I/II.
 
@@ -41,23 +44,38 @@ use xcv_conditions::Condition;
 use xcv_functionals::{FunctionalHandle, IntoFunctional, Registry, XcvError};
 use xcv_solver::SolveStats;
 
-/// Cooperative cancellation for a running campaign. Clone it, hand the clone
-/// to another thread (or a ctrl-c handler), and call [`CancelToken::cancel`];
-/// pairs that have not started yet are skipped.
+/// The campaign's one stop signal. Clone it, hand the clone to another
+/// thread (or a ctrl-c handler), and call [`CancelToken::cancel`]; a token
+/// built with [`CancelToken::until`] also fires by itself once its deadline
+/// has passed. Either way, pairs that have not started are skipped and a
+/// running pair's unexamined boxes become `Cancelled` leaves. The default
+/// token never fires on its own.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    cancelled: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A token that fires once `deadline` has passed (or when cancelled
+    /// earlier).
+    pub fn until(deadline: Instant) -> Self {
+        CancelToken {
+            cancelled: Arc::default(),
+            deadline: Some(deadline),
+        }
+    }
+
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.cancelled.store(true, Ordering::SeqCst);
     }
 
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.cancelled.load(Ordering::SeqCst) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -124,11 +142,10 @@ pub enum SkipReason {
     /// implementation does not provide. The cell is undecided, and the
     /// defect is surfaced rather than rendered as a legitimate `−`.
     EncodeFailed,
-    /// The campaign's global wall-clock budget expired first.
-    BudgetExhausted,
-    /// The campaign was cancelled first (or mid-pair: the outcome's map
+    /// The campaign's [`CancelToken`] fired first — by hand or at its
+    /// deadline — before the pair started, or mid-pair: the outcome's map
     /// then contains the [`RegionStatus::Cancelled`] leaves a checkpointed
-    /// resume picks up from).
+    /// resume picks up from.
     Cancelled,
     /// A `--shard i/n` run assigned this cell to a different shard; merge
     /// the shard reports with [`CampaignReport::merge`].
@@ -171,7 +188,7 @@ pub struct PairOutcome {
     pub functional: FunctionalHandle,
     pub condition: Condition,
     /// The Table I mark ([`TableMark::NotApplicable`] for `−` cells,
-    /// [`TableMark::Unknown`] for budget/cancel skips).
+    /// [`TableMark::Unknown`] for pairs that never ran).
     pub mark: TableMark,
     /// The verifier's region map (absent for inapplicable or skipped pairs).
     pub map: Option<RegionMap>,
@@ -382,10 +399,7 @@ type ConfigPolicy =
 pub struct CampaignBuilder {
     functionals: Vec<FunctionalHandle>,
     conditions: Vec<Condition>,
-    config: VerifierConfig,
-    config_policy: Option<ConfigPolicy>,
-    global_budget_ms: Option<u64>,
-    escalation: Option<xcv_solver::Escalation>,
+    config_policy: ConfigPolicy,
     problem_cache: Option<Arc<ProblemCache>>,
     emit_certificates: bool,
     checkpoint: Option<PathBuf>,
@@ -426,15 +440,16 @@ impl CampaignBuilder {
     }
 
     /// The verifier configuration every pair runs with (per-pair deadline
-    /// included, via [`VerifierConfig::pair_deadline_ms`]).
-    pub fn config(mut self, config: VerifierConfig) -> Self {
-        self.config = config;
-        self
+    /// and escalation ladder included, via
+    /// [`VerifierConfig::pair_deadline_ms`] and the solver's escalation).
+    pub fn config(self, config: VerifierConfig) -> Self {
+        self.config_policy(move |_, _| config.clone())
     }
 
     /// Derive the verifier configuration per pair instead of using one base
     /// config — e.g. coarser recursion floors for 3-D meta-GGA domains, the
-    /// way the reproduction binary tunes per family.
+    /// way the reproduction binary tunes per family. Each pair runs exactly
+    /// the config this returns.
     pub fn config_policy(
         mut self,
         policy: impl Fn(&dyn xcv_functionals::Functional, Condition) -> VerifierConfig
@@ -442,28 +457,7 @@ impl CampaignBuilder {
             + Sync
             + 'static,
     ) -> Self {
-        self.config_policy = Some(Arc::new(policy));
-        self
-    }
-
-    /// Global wall-clock budget for the whole campaign. Pairs reached after
-    /// it expires are skipped ([`SkipReason::BudgetExhausted`]); a running
-    /// pair additionally has its own deadline clamped to the remaining
-    /// budget.
-    pub fn global_budget_ms(mut self, ms: u64) -> Self {
-        self.global_budget_ms = Some(ms);
-        self
-    }
-
-    /// Contractor escalation ladder for every pair (overrides whatever the
-    /// base config or the config policy set): a box whose rung-0 solve
-    /// exhausts its budget is re-solved with interval-Newton (rung 1) and 3B
-    /// slab shaving (rung 2) armed — the knob that turns timeout cells into
-    /// decisions. Boxes that never time out never enter the ladder, so cheap
-    /// cells pay nothing for it. Composes with certificate emission: ladder
-    /// steps are recorded and replayed by `xcvcheck`.
-    pub fn escalation(mut self, esc: xcv_solver::Escalation) -> Self {
-        self.escalation = Some(esc);
+        self.config_policy = Arc::new(policy);
         self
     }
 
@@ -491,7 +485,7 @@ impl CampaignBuilder {
     /// Persist a checkpoint at `path`, atomically rewritten after every
     /// pair. If the file already exists when the campaign runs, completed
     /// cells are restored without re-solving and interrupted cells (the
-    /// `Cancelled` leaves a [`CancelToken`] left behind) are resumed in
+    /// `Cancelled` leaves a fired [`CancelToken`] left behind) are resumed in
     /// place — with a deterministic node-budgeted config, the resumed
     /// matrix reproduces the uninterrupted run's marks and aggregate
     /// statistics exactly.
@@ -535,7 +529,8 @@ impl CampaignBuilder {
         (b, rx)
     }
 
-    /// Attach a cancellation token (see [`CancelToken`]).
+    /// Attach the campaign's stop signal: a hand-cancelled token or a
+    /// [`CancelToken::until`] deadline (see [`CancelToken`]).
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -573,10 +568,7 @@ impl CampaignBuilder {
         Ok(Campaign {
             functionals: self.functionals,
             conditions: self.conditions,
-            config: self.config,
             config_policy: self.config_policy,
-            global_budget_ms: self.global_budget_ms,
-            escalation: self.escalation,
             problem_cache: self.problem_cache,
             emit_certificates: self.emit_certificates,
             checkpoint: self.checkpoint,
@@ -592,10 +584,7 @@ impl CampaignBuilder {
 pub struct Campaign {
     functionals: Vec<FunctionalHandle>,
     conditions: Vec<Condition>,
-    config: VerifierConfig,
-    config_policy: Option<ConfigPolicy>,
-    global_budget_ms: Option<u64>,
-    escalation: Option<xcv_solver::Escalation>,
+    config_policy: ConfigPolicy,
     problem_cache: Option<Arc<ProblemCache>>,
     emit_certificates: bool,
     checkpoint: Option<PathBuf>,
@@ -610,10 +599,7 @@ impl Campaign {
         CampaignBuilder {
             functionals: Vec::new(),
             conditions: Condition::all().to_vec(),
-            config: VerifierConfig::default(),
-            config_policy: None,
-            global_budget_ms: None,
-            escalation: None,
+            config_policy: Arc::new(|_, _| VerifierConfig::default()),
             problem_cache: None,
             emit_certificates: false,
             checkpoint: None,
@@ -628,13 +614,6 @@ impl Campaign {
         for cb in &self.on_event {
             cb(&event);
         }
-    }
-
-    /// Milliseconds left in the global budget (`None` = unbounded).
-    fn remaining_ms(&self, start: Instant) -> Option<u64> {
-        self.global_budget_ms.map(|ms| {
-            u64::try_from(u128::from(ms).saturating_sub(start.elapsed().as_millis())).unwrap_or(0)
-        })
     }
 
     /// Run the campaign: encode every cell, hand the cells to rayon
@@ -734,7 +713,7 @@ impl Campaign {
                             self.skip(cell, SkipReason::OtherShard)
                         } else {
                             let key = (cell.functional.name().to_ascii_lowercase(), cell.condition);
-                            let out = self.run_pair(cell, problem, start, restored.get(&key));
+                            let out = self.run_pair(cell, problem, restored.get(&key));
                             self.persist(&out, store.as_ref(), key);
                             out
                         }
@@ -784,7 +763,6 @@ impl Campaign {
         &self,
         cell: &CampaignCell,
         problem: &EncodedProblem,
-        start: Instant,
         prior: Option<&CheckpointCell>,
     ) -> PairOutcome {
         let name = cell.functional.name();
@@ -810,10 +788,6 @@ impl Campaign {
         if self.cancel.is_cancelled() {
             return self.skip(cell, SkipReason::Cancelled);
         }
-        let remaining = self.remaining_ms(start);
-        if remaining == Some(0) {
-            return self.skip(cell, SkipReason::BudgetExhausted);
-        }
         self.emit(CampaignEvent::PairStarted {
             functional: name.clone(),
             condition: cond,
@@ -826,20 +800,11 @@ impl Campaign {
                 panic!("injected fault: solver panic for {name}/{cond:?}");
             }
         }
-        // Per-pair deadline, clamped to what is left of the global budget.
-        let mut config = match &self.config_policy {
-            Some(policy) => policy(cell.functional.as_ref(), cond),
-            None => self.config.clone(),
-        };
-        config.pair_deadline_ms = match (config.pair_deadline_ms, remaining) {
-            (Some(p), Some(r)) => Some(p.min(r)),
-            (p, r) => p.or(r),
-        };
-        if let Some(esc) = self.escalation {
-            config.solver.escalation = esc;
-        }
+        // The pair runs exactly the config its policy returns: the one a
+        // certificate header, a checkpoint and a result-store key record.
+        let config = (self.config_policy)(cell.functional.as_ref(), cond);
         let opts = RunOptions {
-            cancel: Some(self.cancel.clone()),
+            cancel: self.cancel.clone(),
             record_traces: self.emit_certificates,
             base_depth: 0,
         };
@@ -1279,11 +1244,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_skips_everything() {
+    fn a_deadline_token_fires_once_its_instant_passes() {
+        let later = CancelToken::until(Instant::now() + std::time::Duration::from_secs(3600));
+        assert!(!later.is_cancelled());
+        later.clone().cancel();
+        assert!(later.is_cancelled() && CancelToken::until(Instant::now()).is_cancelled());
+    }
+
+    #[test]
+    fn expired_deadline_skips_everything() {
         let report = Campaign::builder()
             .functionals([Dfa::VwnRpa, Dfa::Lyp])
             .config(quick_config(50_000))
-            .global_budget_ms(0)
+            .cancel_token(CancelToken::until(Instant::now()))
             .build()
             .unwrap()
             .run();
@@ -1291,6 +1264,6 @@ mod tests {
             .pairs
             .iter()
             .filter(|p| p.skipped != Some(SkipReason::NotApplicable))
-            .all(|p| p.skipped == Some(SkipReason::BudgetExhausted)));
+            .all(|p| p.skipped == Some(SkipReason::Cancelled) && p.map.is_none()));
     }
 }

@@ -24,9 +24,10 @@
 //!   aggregation rules that produce the paper's Table I marks.
 //! * [`Campaign`] — whole verification matrices (functionals × conditions)
 //!   handed to rayon costliest-first by [`pair_cost`], whose workers pull
-//!   one cell at a time; with per-pair deadlines, a global budget,
-//!   streamed [`CampaignEvent`]s, cancellation, and a structured
-//!   [`CampaignReport`] the report crate renders into Tables I/II.
+//!   one cell at a time; with per-pair deadlines from the verifier config,
+//!   streamed [`CampaignEvent`]s, one stop signal ([`CancelToken`], by hand
+//!   or at a deadline), and a structured [`CampaignReport`] the report
+//!   crate renders into Tables I/II.
 
 pub mod cache;
 mod campaign;

@@ -89,10 +89,11 @@ impl VerifierConfig {
 /// checkpointed campaign resumes a subtree in place.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
-    /// Checked at every recursion step: once cancelled, unexamined boxes
-    /// are recorded as [`RegionStatus::Cancelled`] leaves (resumable later)
-    /// instead of being solved.
-    pub cancel: Option<CancelToken>,
+    /// Checked at every recursion step: once it fires (by hand or at its
+    /// deadline), unexamined boxes are recorded as
+    /// [`RegionStatus::Cancelled`] leaves (resumable later) instead of
+    /// being solved. The default token never fires.
+    pub cancel: CancelToken,
     /// Record a [`SolveTrace`] for every `Verified` leaf — the raw
     /// material for `xcv-cert` proof certificates.
     pub record_traces: bool,
@@ -213,7 +214,7 @@ impl Verifier {
                 RegionDetail { depth, trace },
             )]
         };
-        if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if opts.cancel.is_cancelled() {
             return (leaf(RegionStatus::Cancelled, None), stats);
         }
         if self.past_deadline(start) {

@@ -2,7 +2,7 @@
 //!
 //! Every fallible step of the pipeline — registry lookup and registration,
 //! DSL loading, encoding a (functional, condition) pair, campaign
-//! scheduling — reports through [`XcvError`] instead of bare `Option`s or
+//! building — reports through [`XcvError`] instead of bare `Option`s or
 //! panics. The enum lives in `xcv-functionals` because that is the lowest
 //! crate every other layer (conditions, grid, core, report, bench) already
 //! depends on.
@@ -31,10 +31,6 @@ pub enum XcvError {
     Dsl { functional: String, message: String },
     /// Scalar or interval evaluation failed outside its natural domain.
     Eval { context: String, message: String },
-    /// A campaign was cancelled before this pair ran.
-    Cancelled,
-    /// A campaign's global budget expired before this pair ran.
-    BudgetExhausted { completed: usize, total: usize },
 }
 
 impl XcvError {
@@ -70,11 +66,6 @@ impl fmt::Display for XcvError {
             XcvError::Eval { context, message } => {
                 write!(f, "evaluation failed in {context}: {message}")
             }
-            XcvError::Cancelled => write!(f, "campaign cancelled"),
-            XcvError::BudgetExhausted { completed, total } => write!(
-                f,
-                "campaign budget exhausted after {completed} of {total} pairs"
-            ),
         }
     }
 }
@@ -103,6 +94,6 @@ mod tests {
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&XcvError::Cancelled);
+        takes_err(&XcvError::UnknownFunctional("B3LYP".into()));
     }
 }

@@ -15,8 +15,9 @@
 //! * `--max-conns N` — concurrent-connection cap (default 64); past it,
 //!   connections are rejected with an explicit `busy` error line.
 //! * `--deadline-ms N` — per-request wall deadline (default: none); pairs
-//!   not finished in time stream as `skipped: "timeout"` and the request
-//!   degrades gracefully instead of running on.
+//!   not finished in time are cancelled, stream as `skipped: "timeout"`
+//!   and are never stored, and the request degrades gracefully instead of
+//!   running on.
 //! * `--idle-ms N` — socket read timeout (default 30000): a connection
 //!   idle or wedged mid-line this long is reaped.
 //! * `--port-file PATH` — write the actually-bound address to `PATH`

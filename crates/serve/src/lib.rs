@@ -87,8 +87,11 @@
 //!   wedge its waiters, request lines capped at 1 MiB, and a
 //!   64-connection cap answered with an explicit `busy` error. An
 //!   optional per-request wall deadline (`request_deadline_ms`) degrades
-//!   gracefully: pairs already solved are answered, the rest stream as
-//!   `skipped: "timeout"` and are tallied in `done.timeouts`.
+//!   gracefully: it is one [`xcv_core::CancelToken::until`] shared by every
+//!   campaign the request runs. Pairs already solved are answered; pairs
+//!   it cuts, mid-solve or before they start, stream as
+//!   `skipped: "timeout"`, are tallied in `done.timeouts`, and are never
+//!   stored, so a later request without the deadline solves them afresh.
 //! * **Client-side resilience**: [`Client::connect_retry`] rides out a
 //!   binding/restarting daemon with doubling backoff, and
 //!   `xcverify --server --fallback-local` degrades to the bit-identical

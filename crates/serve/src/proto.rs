@@ -50,8 +50,9 @@
 //! applicable pairs of this request, `l1_*` are the request's
 //! compiled-problem cache deltas, `compile_count` is the daemon's
 //! process-global tape-compilation counter — flat across a warm request —
-//! and `timeouts` counts pairs the request's wall deadline expired on
-//! (each also reported as a `pair` event with `skipped: "timeout"`).
+//! and `timeouts` counts pairs the request's wall deadline cut, mid-solve or
+//! before they started (each also reported as a `pair` event with
+//! `skipped: "timeout"`, and none of them stored).
 
 use xcv_cert::json::{escape, fmt_f64, Json};
 use xcv_conditions::Condition;
@@ -280,9 +281,11 @@ pub struct Done {
     /// request ([`xcv_solver::compile_count`]) — flat across a warm repeat.
     pub compile_count: u64,
     pub wall_ms: u64,
-    /// Pairs the request's wall deadline expired on (`skipped: "timeout"`
-    /// pair events): the request degraded gracefully instead of running
-    /// past its deadline — already-solved pairs were still answered.
+    /// Pairs the request's wall deadline cut, mid-solve or before they
+    /// started (`skipped: "timeout"` pair events): the request degraded
+    /// gracefully instead of running past its deadline — already-solved
+    /// pairs were still answered, and nothing a cut pair computed was
+    /// stored.
     pub timeouts: u64,
 }
 
@@ -329,9 +332,9 @@ pub enum Event {
         mark: TableMark,
         wall_ms: u64,
         cached: bool,
-        /// `None` when the pair actually ran; otherwise the skip tag
-        /// (`na`, `encode_failed`, `budget`, `cancelled`, `other_shard`,
-        /// `timeout` — the request's wall deadline expired first).
+        /// `None` when the pair ran to completion; otherwise the skip tag
+        /// (`na`, `encode_failed`, `other_shard`, or `timeout` — the
+        /// request's wall deadline cut the pair or came before it).
         skipped: Option<String>,
     },
     Done(Done),

@@ -10,10 +10,13 @@
 //! * **Leader** — this request owns the solve. All leads for one
 //!   functional run as one [`Campaign`] (compiling through the shared
 //!   level-1 [`ProblemCache`], streaming its events down the wire as they
-//!   happen), and every outcome is finalized into the store.
+//!   happen), and every pair that ran to completion is finalized into the
+//!   store.
 //! * **Busy** — another request is already solving the identical key.
 //!   Deferred, and waited on only *after* this request's own leads are
-//!   finalized — the invariant that makes coalescing deadlock-free.
+//!   finalized — the invariant that makes coalescing deadlock-free. A
+//!   waiter whose leader abandoned the key claims it and solves it through
+//!   the same path as its own leads.
 //!
 //! ## Fault tolerance
 //!
@@ -22,11 +25,16 @@
 //! runs under `catch_unwind`, and a panic anywhere releases the unwinding
 //! thread's claims so coalesced waiters re-claim and take over the solve
 //! instead of deadlocking. Accepted sockets carry read/write timeouts, an
-//! optional per-request wall deadline degrades gracefully (pairs past the
-//! deadline are reported with `skipped: "timeout"` and counted in the
-//! `done` event), waits on other requests' solves are bounded, request
-//! lines are length-capped, and a connection cap rejects overload with an
-//! explicit `busy` error instead of queueing unboundedly.
+//! optional per-request wall deadline degrades gracefully, waits on other
+//! requests' solves are bounded, request lines are length-capped, and a
+//! connection cap rejects overload with an explicit `busy` error instead of
+//! queueing unboundedly.
+//!
+//! The request deadline is one [`CancelToken::until`] handed to every
+//! campaign the request runs. Pairs it cuts, mid-solve or before they
+//! start, come back [`SkipReason::Cancelled`]: they stream as
+//! `skipped: "timeout"`, count in `done.timeouts`, and their claims are
+//! abandoned, never finalized — a cut pair never reaches the store.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -39,21 +47,23 @@ use std::time::{Duration, Instant};
 use xcv_conditions::Condition;
 use xcv_core::cache::{ProblemCache, ProblemKey};
 use xcv_core::{
-    Campaign, CampaignEvent, FaultPlan, FaultSite, RegionMap, RegionStatus, SkipReason, TableMark,
+    Campaign, CampaignEvent, CancelToken, FaultPlan, FaultSite, RegionMap, RegionStatus,
+    SkipReason, TableMark,
 };
 use xcv_functionals::{FunctionalHandle, Registry};
 
-use crate::proto::{Done, Event, Request, ServerStats, VerifyRequest};
-use crate::store::{Claim, ResultKey, ResultStore, StoredResult, WaitOutcome};
+use crate::proto::{Done, Event, Policy, Request, ServerStats, VerifyRequest};
+use crate::store::{Claim, LeaderGuard, ResultKey, ResultStore, StoredResult, WaitOutcome};
 
 /// Longest accepted request line (bytes, newline included). A line past
 /// the cap gets a structured error and the connection is closed — with
 /// the line unterminated there is no resynchronization point.
 const MAX_REQUEST_LINE: u64 = 1 << 20;
 
-/// Resolve the CLI spellings of functional names to registry names — the
-/// same alias table as `xcverify --dfa`, so a client can send whatever the
-/// CLI accepts. [`Registry::get`] is case-insensitive on the result.
+/// Resolve the CLI spellings of functional names to registry names. The
+/// daemon and `xcverify --dfa` both resolve through this table, so a
+/// client can send whatever the CLI accepts. [`Registry::get`] is
+/// case-insensitive on the result.
 pub fn canonical_name(name: &str) -> String {
     match name.to_ascii_uppercase().as_str() {
         "VWN" | "VWN_RPA" | "VWNRPA" => "VWN RPA".to_string(),
@@ -87,8 +97,9 @@ pub struct ServerConfig {
     /// store). `None` disables.
     pub write_timeout: Option<Duration>,
     /// Per-request wall deadline: pairs not finished when it expires are
-    /// reported with `skipped: "timeout"` instead of running on. `None`
-    /// disables (the policy's own budgets still apply).
+    /// cancelled and reported with `skipped: "timeout"`; nothing they
+    /// computed is stored. `None` disables (the policy's own budgets still
+    /// apply).
     pub request_deadline_ms: Option<u64>,
     /// Concurrent-connection cap: connections past it are rejected with an
     /// explicit `busy` error line instead of queueing.
@@ -432,13 +443,65 @@ fn replay(writer: &Writer, functional: &str, condition: Condition, r: &StoredRes
     );
 }
 
+/// The wire tag of a skipped pair. The daemon cancels a campaign only at
+/// the request deadline, so `Cancelled` is a timeout.
 fn skip_tag(reason: SkipReason) -> &'static str {
     match reason {
         SkipReason::NotApplicable => "na",
         SkipReason::EncodeFailed => "encode_failed",
-        SkipReason::BudgetExhausted => "budget",
-        SkipReason::Cancelled => "cancelled",
+        SkipReason::Cancelled => "timeout",
         SkipReason::OtherShard => "other_shard",
+    }
+}
+
+/// A campaign event as the wire event a client sees.
+fn wire_event(ev: &CampaignEvent) -> Event {
+    match ev {
+        CampaignEvent::PairStarted {
+            functional,
+            condition,
+        } => Event::Started {
+            functional: functional.clone(),
+            condition: *condition,
+        },
+        CampaignEvent::CounterexampleFound {
+            functional,
+            condition,
+            witness,
+        } => Event::Counterexample {
+            functional: functional.clone(),
+            condition: *condition,
+            witness: witness.clone(),
+        },
+        CampaignEvent::PairFinished {
+            functional,
+            condition,
+            mark,
+            wall_ms,
+        } => Event::Pair {
+            functional: functional.clone(),
+            condition: *condition,
+            mark: *mark,
+            wall_ms: u64::try_from(*wall_ms).unwrap_or(u64::MAX),
+            cached: false,
+            skipped: None,
+        },
+        CampaignEvent::PairSkipped {
+            functional,
+            condition,
+            reason,
+        } => Event::Pair {
+            functional: functional.clone(),
+            condition: *condition,
+            mark: if *reason == SkipReason::NotApplicable {
+                TableMark::NotApplicable
+            } else {
+                TableMark::Unknown
+            },
+            wall_ms: 0,
+            cached: false,
+            skipped: Some(skip_tag(*reason).to_string()),
+        },
     }
 }
 
@@ -462,21 +525,16 @@ struct Lead {
     key: ResultKey,
 }
 
-/// Emit the `skipped: "timeout"` pair event for a pair the request's wall
-/// deadline expired on.
+/// Emit the `skipped: "timeout"` pair event for a deferred pair the
+/// request's wall deadline expired on while it waited.
 fn send_timeout(writer: &Writer, functional: &str, condition: Condition, done: &mut Done) {
     done.timeouts += 1;
-    send(
-        writer,
-        &Event::Pair {
-            functional: functional.to_string(),
-            condition,
-            mark: TableMark::Unknown,
-            wall_ms: 0,
-            cached: false,
-            skipped: Some("timeout".to_string()),
-        },
-    );
+    let skipped = CampaignEvent::PairSkipped {
+        functional: functional.to_string(),
+        condition,
+        reason: SkipReason::Cancelled,
+    };
+    send(writer, &wire_event(&skipped));
 }
 
 fn stored_result_of(outcome: &xcv_core::PairOutcome) -> StoredResult {
@@ -498,18 +556,86 @@ fn stored_result_of(outcome: &xcv_core::PairOutcome) -> StoredResult {
     }
 }
 
+/// Solve one functional's leads as one campaign on the request's stop
+/// signal, streaming its events to the client, and finalize every pair that
+/// ran to completion into the store. A pair the deadline cut (or never
+/// started) streamed as `skipped: "timeout"`; dropping its guard abandons
+/// the claim. `Err` means the campaign panicked: the client has its error
+/// event, every guard in `guards` is released, and the caller returns.
+fn solve_leads(
+    state: &State,
+    writer: &Writer,
+    leads: &[Lead],
+    guards: &mut HashMap<ResultKey, LeaderGuard<'_>>,
+    policy: Policy,
+    cancel: &CancelToken,
+    done: &mut Done,
+) -> Result<(), ()> {
+    let name = leads[0].functional.name();
+    let mut builder = Campaign::builder()
+        .functional(leads[0].functional.clone())
+        .conditions(leads.iter().map(|l| l.condition))
+        .config_policy(move |f, _| policy.verifier_config(f))
+        .problem_cache(Arc::clone(&state.problems))
+        .cancel_token(cancel.clone())
+        .on_event({
+            let writer = Arc::clone(writer);
+            move |ev| send(&writer, &wire_event(ev))
+        });
+    if let Some(plan) = &state.fault_plan {
+        builder = builder.fault_plan(Arc::clone(plan));
+    }
+    let campaign = builder
+        .build()
+        .expect("a campaign over one functional always builds");
+    // Panic isolation, inner boundary: a panicking solve (one worker's
+    // panic propagates out of `campaign.run()`) must release the claims and
+    // fail the request — the coalesced waiters re-claim and take the solve
+    // over.
+    let Ok(report) = catch_unwind(AssertUnwindSafe(|| campaign.run())) else {
+        state.panics.fetch_add(1, Ordering::Relaxed);
+        guards.clear(); // abandon every unfinalized claim
+        send(
+            writer,
+            &Event::Error {
+                message: format!("campaign for {name} panicked; claims released"),
+            },
+        );
+        return Err(());
+    };
+    for outcome in &report.pairs {
+        let Some(lead) = leads.iter().find(|l| l.condition == outcome.condition) else {
+            continue;
+        };
+        let Some(guard) = guards.remove(&lead.key) else {
+            continue;
+        };
+        match outcome.skipped {
+            // Dropping the guard abandons the claim; the pair event already
+            // streamed with its skip tag.
+            Some(reason) => {
+                drop(guard);
+                if reason == SkipReason::Cancelled {
+                    done.timeouts += 1;
+                }
+            }
+            None => {
+                done.solved += 1;
+                guard.finalize(stored_result_of(outcome));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
     let start = Instant::now();
+    // One stop signal for everything this request runs: a deadline past the
+    // end of time is no deadline.
     let deadline = state
         .request_deadline_ms
-        .map(|ms| start + Duration::from_millis(ms));
-    // Milliseconds left before the request deadline (`None` = no deadline).
-    let remaining_ms = |deadline: Option<Instant>| -> Option<u64> {
-        deadline.map(|d| {
-            u64::try_from(d.saturating_duration_since(Instant::now()).as_millis())
-                .unwrap_or(u64::MAX)
-        })
-    };
+        .and_then(|ms| start.checked_add(Duration::from_millis(ms)));
+    let cancel = deadline.map_or_else(CancelToken::new, CancelToken::until);
     // Resolve every functional up front — an unknown name fails the whole
     // request before any work happens.
     let mut handles = Vec::new();
@@ -596,183 +722,59 @@ fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
     }
 
     // Every leadership goes under an RAII guard *now*: any exit from this
-    // function — early return, deadline, panic unwinding to the connection
-    // boundary — abandons whatever was not finalized, waking coalesced
-    // waiters to re-claim. No path leaks a claim.
-    let mut guards: HashMap<ResultKey, crate::store::LeaderGuard<'_>> = leads
+    // function — early return, panic unwinding to the connection boundary —
+    // abandons whatever was not finalized, waking coalesced waiters to
+    // re-claim. No path leaks a claim.
+    let mut guards: HashMap<ResultKey, LeaderGuard<'_>> = leads
         .iter()
         .map(|l| (l.key, state.results.guard(l.key)))
         .collect();
 
     // Pass 2: solve the leads, one campaign per functional (a campaign is
     // a full sub-matrix; different functionals may lead different
-    // condition subsets). Events stream to the client as they happen.
-    let mut by_functional: Vec<(FunctionalHandle, Vec<Lead>)> = Vec::new();
+    // condition subsets). Events stream to the client as they happen. A
+    // campaign started after the deadline skips its own pairs, so the
+    // remaining groups drain cheaply.
+    let mut by_functional: Vec<Vec<Lead>> = Vec::new();
     for lead in leads {
         match by_functional
             .iter_mut()
-            .find(|(f, _)| f.name() == lead.functional.name())
+            .find(|group| group[0].functional.name() == lead.functional.name())
         {
-            Some((_, group)) => group.push(lead),
-            None => by_functional.push((lead.functional.clone(), vec![lead])),
+            Some(group) => group.push(lead),
+            None => by_functional.push(vec![lead]),
         }
     }
-    for (f, group) in by_functional {
-        // Deadline expired: report this group's pairs as timed out (their
-        // guards abandon the claims) and keep draining the cheap passes —
-        // already-solved answers still go out.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            for lead in &group {
-                guards.remove(&lead.key);
-                send_timeout(writer, &f.name(), lead.condition, &mut done);
-            }
-            continue;
-        }
-        let mut builder = Campaign::builder()
-            .functional(f.clone())
-            .conditions(group.iter().map(|l| l.condition))
-            .config_policy(move |f, _| policy.verifier_config(f))
-            .problem_cache(Arc::clone(&state.problems))
-            .on_event({
-                let writer = Arc::clone(writer);
-                move |ev| {
-                    let mapped = match ev {
-                        CampaignEvent::PairStarted {
-                            functional,
-                            condition,
-                        } => Event::Started {
-                            functional: functional.clone(),
-                            condition: *condition,
-                        },
-                        CampaignEvent::CounterexampleFound {
-                            functional,
-                            condition,
-                            witness,
-                        } => Event::Counterexample {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            witness: witness.clone(),
-                        },
-                        CampaignEvent::PairFinished {
-                            functional,
-                            condition,
-                            mark,
-                            wall_ms,
-                        } => Event::Pair {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            mark: *mark,
-                            wall_ms: u64::try_from(*wall_ms).unwrap_or(u64::MAX),
-                            cached: false,
-                            skipped: None,
-                        },
-                        CampaignEvent::PairSkipped {
-                            functional,
-                            condition,
-                            reason,
-                        } => Event::Pair {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            mark: if *reason == SkipReason::NotApplicable {
-                                TableMark::NotApplicable
-                            } else {
-                                TableMark::Unknown
-                            },
-                            wall_ms: 0,
-                            cached: false,
-                            skipped: Some(skip_tag(*reason).to_string()),
-                        },
-                    };
-                    send(&writer, &mapped);
-                }
-            });
-        if let Some(ms) = remaining_ms(deadline) {
-            // The campaign's own budget machinery enforces the request
-            // deadline: pairs past it are skipped (BudgetExhausted) and
-            // running pairs have their solver deadlines clamped.
-            builder = builder.global_budget_ms(ms);
-        }
-        if let Some(plan) = &state.fault_plan {
-            builder = builder.fault_plan(Arc::clone(plan));
-        }
-        let keys: HashMap<Condition, ResultKey> =
-            group.iter().map(|l| (l.condition, l.key)).collect();
-        match builder.build() {
-            Ok(campaign) => {
-                // Panic isolation, inner boundary: a panicking solve (one
-                // worker's panic propagates out of `campaign.run()`) must
-                // release this group's claims and fail the request — the
-                // coalesced waiters re-claim and take the solve over.
-                let report = match catch_unwind(AssertUnwindSafe(|| campaign.run())) {
-                    Ok(report) => report,
-                    Err(_) => {
-                        state.panics.fetch_add(1, Ordering::Relaxed);
-                        drop(guards); // abandon every unfinalized claim
-                        send(
-                            writer,
-                            &Event::Error {
-                                message: format!(
-                                    "campaign for {} panicked; claims released",
-                                    f.name()
-                                ),
-                            },
-                        );
-                        return;
-                    }
-                };
-                for outcome in &report.pairs {
-                    let Some(&key) = keys.get(&outcome.condition) else {
-                        continue;
-                    };
-                    let Some(guard) = guards.remove(&key) else {
-                        continue;
-                    };
-                    match outcome.skipped {
-                        Some(reason) => {
-                            // Dropping the guard abandons the claim. A skip
-                            // caused by the request deadline counts as a
-                            // timeout in the summary (the pair event already
-                            // streamed with the campaign's own tag).
-                            drop(guard);
-                            if reason == SkipReason::BudgetExhausted && deadline.is_some() {
-                                done.timeouts += 1;
-                            }
-                        }
-                        None => {
-                            done.solved += 1;
-                            guard.finalize(stored_result_of(outcome));
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                // The group's guards stay in the map; they abandon when the
-                // function returns, alongside every other group's.
-                send(
-                    writer,
-                    &Event::Error {
-                        message: format!("campaign for {}: {e}", f.name()),
-                    },
-                );
-                return;
-            }
+    for group in &by_functional {
+        let solved = solve_leads(
+            state,
+            writer,
+            group,
+            &mut guards,
+            policy,
+            &cancel,
+            &mut done,
+        );
+        if solved.is_err() {
+            return;
         }
     }
     drop(guards); // every lead is finalized or abandoned by here
 
     // Pass 3: only now — with every owned leadership finalized — block on
     // the pairs other requests were solving, each wait bounded. If a
-    // leader abandoned one, claim it ourselves and solve solo.
+    // leader abandoned one, claim it ourselves and solve it like a lead.
     for lead in deferred {
         loop {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+            if cancel.is_cancelled() {
                 send_timeout(writer, &lead.functional.name(), lead.condition, &mut done);
                 break;
             }
-            let wait = match remaining_ms(deadline) {
-                Some(ms) => state.wait_timeout.min(Duration::from_millis(ms)),
-                None => state.wait_timeout,
-            };
+            let wait = deadline.map_or(state.wait_timeout, |d| {
+                state
+                    .wait_timeout
+                    .min(d.saturating_duration_since(Instant::now()))
+            });
             match state.results.wait_for_timeout(lead.key, wait) {
                 WaitOutcome::TimedOut => {
                     send_timeout(writer, &lead.functional.name(), lead.condition, &mut done);
@@ -794,64 +796,13 @@ fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
                 }
                 Claim::Busy => continue,
                 Claim::Leader => {
-                    let guard = state.results.guard(lead.key);
-                    let mut builder = Campaign::builder()
-                        .functional(lead.functional.clone())
-                        .conditions([lead.condition])
-                        .config_policy(move |f, _| policy.verifier_config(f))
-                        .problem_cache(Arc::clone(&state.problems));
-                    if let Some(ms) = remaining_ms(deadline) {
-                        builder = builder.global_budget_ms(ms);
+                    let mut guard = HashMap::from([(lead.key, state.results.guard(lead.key))]);
+                    let solo = std::slice::from_ref(&lead);
+                    if solve_leads(state, writer, solo, &mut guard, policy, &cancel, &mut done)
+                        .is_err()
+                    {
+                        return;
                     }
-                    if let Some(plan) = &state.fault_plan {
-                        builder = builder.fault_plan(Arc::clone(plan));
-                    }
-                    let Ok(campaign) = builder.build() else {
-                        break; // guard drop abandons
-                    };
-                    let report = match catch_unwind(AssertUnwindSafe(|| campaign.run())) {
-                        Ok(report) => report,
-                        Err(_) => {
-                            state.panics.fetch_add(1, Ordering::Relaxed);
-                            drop(guard);
-                            send(
-                                writer,
-                                &Event::Error {
-                                    message: format!(
-                                        "solve for {} panicked; claim released",
-                                        lead.functional.name()
-                                    ),
-                                },
-                            );
-                            return;
-                        }
-                    };
-                    let Some(outcome) = report
-                        .pairs
-                        .iter()
-                        .find(|p| p.condition == lead.condition && p.skipped.is_none())
-                    else {
-                        drop(guard); // abandon: skipped or missing
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            send_timeout(
-                                writer,
-                                &lead.functional.name(),
-                                lead.condition,
-                                &mut done,
-                            );
-                        }
-                        break;
-                    };
-                    let result = stored_result_of(outcome);
-                    guard.finalize(result.clone());
-                    done.solved += 1;
-                    replay(
-                        writer,
-                        &lead.functional.name(),
-                        lead.condition,
-                        &result,
-                        false,
-                    );
                     break;
                 }
             }

@@ -8,9 +8,9 @@
 //!   Unsat leaf's evidence in a pinned certificate must be rejected —
 //!   a certificate that still "checks" after tampering certifies nothing;
 //! * **resume**: a campaign killed mid-matrix (mid-pair, even) via
-//!   [`CancelToken`] and resumed from its checkpoint produces marks,
-//!   aggregate solver statistics, and region multisets identical to an
-//!   uninterrupted run;
+//!   [`CancelToken`] — by hand or at a [`CancelToken::until`] deadline —
+//!   and resumed from its checkpoint produces marks, aggregate solver
+//!   statistics, and region multisets identical to an uninterrupted run;
 //! * **shard**: two half-matrix shards merge (in-process and through the
 //!   checkpoint files) to exactly the single-process matrix.
 //!
@@ -18,7 +18,9 @@
 //! `pair_deadline_ms: None`, so every run of the same cell explores the
 //! same tree — the bit-identity claims are exact, not statistical.
 
+use std::time::{Duration, Instant};
 use xcverifier::prelude::*;
+use xcverifier::serve::Policy;
 
 /// Deterministic coarse settings: node budget only, no wall clock anywhere.
 fn det_config(nodes: u64, max_depth: u32) -> VerifierConfig {
@@ -234,6 +236,56 @@ fn checkpoint_resume_reproduces_the_uninterrupted_run() {
     // interrupted cells re-verify exactly their cancelled leaves — and the
     // whole matrix comes out identical to never having been killed.
     let resumed = build().checkpoint(&ckpt).build().unwrap().run();
+    std::fs::remove_file(&ckpt).ok();
+    assert_eq!(fingerprint(&resumed), fingerprint(&reference));
+}
+
+/// SCAN's Tc upper bound under a flat node-budgeted policy: about a second
+/// of solving in a release build, so a 50 ms deadline always cuts it.
+fn scan_tc() -> CampaignBuilder {
+    let policy = Policy::Flat {
+        delta: 1e-3,
+        max_nodes: 800,
+        split_threshold: 0.3,
+        max_depth: 2,
+    };
+    Campaign::builder()
+        .functional(Dfa::Scan)
+        .conditions([Condition::TcUpperBound])
+        .config_policy(move |f, _| policy.verifier_config(f))
+}
+
+#[test]
+fn deadline_cut_checkpoint_resumes_to_the_uninterrupted_run() {
+    let reference = scan_tc().build().unwrap().run();
+    assert_eq!(
+        reference.mark("SCAN", Condition::TcUpperBound),
+        Some(TableMark::PartiallyVerified)
+    );
+
+    // A deadline cuts the pair: it must come back cancelled, with the
+    // checkpoint recording where it stopped — not answered with the
+    // timeouts the cut left behind.
+    let ckpt = std::env::temp_dir().join(format!("xcv_deadline_{}.json", std::process::id()));
+    std::fs::remove_file(&ckpt).ok();
+    let cut = scan_tc()
+        .checkpoint(&ckpt)
+        .cancel_token(CancelToken::until(
+            Instant::now() + Duration::from_millis(50),
+        ))
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(
+        cut.pairs[0].skipped,
+        Some(SkipReason::Cancelled),
+        "the deadline cut the pair, so it must not read as answered: {:?}",
+        cut.pairs[0].mark
+    );
+
+    // Rerun on that checkpoint without a deadline: the resumed pair is the
+    // uninterrupted one, node for node and region for region.
+    let resumed = scan_tc().checkpoint(&ckpt).build().unwrap().run();
     std::fs::remove_file(&ckpt).ok();
     assert_eq!(fingerprint(&resumed), fingerprint(&reference));
 }

@@ -19,7 +19,9 @@
 //!   freed slot admits the next client;
 //! * an expired per-request deadline degrades gracefully: solved pairs
 //!   answer, the rest stream as timeouts, the accounting adds up, and the
-//!   daemon keeps serving.
+//!   daemon keeps serving;
+//! * a pair a request deadline cuts mid-solve is never stored: a restarted
+//!   daemon without the deadline answers with the in-process mark.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -391,7 +393,7 @@ fn request_deadline_degrades_gracefully() {
                 match skipped.as_deref() {
                     None => answered += 1,
                     Some("na") => na += 1,
-                    Some("timeout") | Some("budget") => timed_out += 1,
+                    Some("timeout") => timed_out += 1,
                     Some(other) => panic!("unexpected skip tag {other:?}"),
                 }
             }
@@ -409,4 +411,65 @@ fn request_deadline_degrades_gracefully() {
         .ping()
         .expect("connection survives a timed-out request");
     server.shutdown();
+}
+
+/// A 50 ms request deadline lands in the middle of SCAN's Tc-bound solve
+/// (about a second in a release build). Daemon A, which persists every
+/// result, must answer that pair either as a `timeout` skip or with the
+/// in-process mark — never with what the cut left. Daemon B, restarted on
+/// the same store without a deadline, must then serve the in-process mark.
+#[test]
+fn request_deadline_never_reaches_the_store() {
+    let dir = temp_dir("deadline");
+    let policy = Policy::Flat {
+        delta: 1e-3,
+        max_nodes: 800,
+        split_threshold: 0.3,
+        max_depth: 2,
+    };
+    let condition = Condition::TcUpperBound;
+    let reference = reference_marks("SCAN", &[condition], policy);
+    let want = reference[&("SCAN".to_string(), condition.id().to_string())];
+    assert_eq!(want, TableMark::PartiallyVerified);
+    let req = VerifyRequest {
+        functionals: vec!["SCAN".to_string()],
+        conditions: vec![condition],
+        policy,
+    };
+    let serve = |request_deadline_ms: Option<u64>| {
+        let mut server = Server::spawn(ServerConfig {
+            store_dir: Some(dir.clone()),
+            admit_ms: 0, // persist everything, however cheap
+            request_deadline_ms,
+            ..ServerConfig::default()
+        })
+        .expect("ephemeral port");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let mut pairs = Vec::new();
+        client
+            .verify(&req, |e| {
+                if let Event::Pair { mark, skipped, .. } = e {
+                    pairs.push((*mark, skipped.clone()));
+                }
+            })
+            .expect("verify");
+        server.shutdown();
+        pairs
+    };
+
+    let cut = serve(Some(50));
+    assert_eq!(cut.len(), 1, "one pair event: {cut:?}");
+    for (mark, skipped) in &cut {
+        assert!(
+            skipped.as_deref() == Some("timeout") || (skipped.is_none() && *mark == want),
+            "the deadline daemon answered {mark:?} (skipped {skipped:?}); in-process is {want:?}"
+        );
+    }
+    let fresh = serve(None);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        fresh,
+        vec![(want, None)],
+        "a restarted daemon must not serve what the deadline cut"
+    );
 }

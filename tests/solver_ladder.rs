@@ -307,7 +307,7 @@ fn ladder_campaign_certificates_replay() {
         split_threshold: 1.25,
         // A deliberately tight budget so some boxes time out at rung 0 and
         // the certificates exercise the retry path's Newton/3B steps.
-        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(600)),
+        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(600)).with_escalation(Escalation::full()),
         parallel: false,
         parallel_depth: 0,
         max_depth: 3,
@@ -317,7 +317,6 @@ fn ladder_campaign_certificates_replay() {
         .functionals([Dfa::VwnRpa, Dfa::Lyp])
         .conditions([Condition::EcNonPositivity])
         .config(config)
-        .escalation(Escalation::full())
         .emit_certificates(true)
         .build()
         .unwrap()
