@@ -531,9 +531,12 @@ pub struct CheckReport {
 /// solver's round loop (forward; per round: meet parents, impose atom
 /// relations at the roots, backward sweep, extract variable domains, stop
 /// when the largest relative width gain drops below 5%), built only on the
-/// deserialized tape's public passes. Returns `None` when the box is
-/// proven empty.
-fn contract(
+/// deserialized tape's public passes. Every slot is flagged dirty before
+/// each backward sweep, so every inverse rule runs: this is the reference
+/// the solver's clean-slot skip must reproduce bit for bit. `atoms` pairs
+/// each atom's root slot with its relation's allowed set; `vals` is left
+/// holding the slot file. Returns `None` when the box is proven empty.
+pub fn contract(
     tape: &IntervalTape,
     atoms: &[(usize, Interval)],
     max_rounds: usize,
@@ -542,11 +545,13 @@ fn contract(
 ) -> Option<Vec<Interval>> {
     vals.clear();
     vals.resize(tape.len(), Interval::ENTIRE);
+    let mut dirty = vec![true; tape.len()];
     tape.forward(b, vals);
     let mut current = b.to_vec();
     for round in 0..max_rounds {
         if round > 0 {
-            tape.forward_meet(vals);
+            tape.forward_meet(vals, &mut dirty);
+            dirty.fill(true);
         }
         for &(slot, allowed) in atoms {
             let met = vals[slot].intersect(&allowed);
@@ -555,7 +560,7 @@ fn contract(
             }
             vals[slot] = met;
         }
-        if !tape.backward(vals) {
+        if !tape.backward(vals, &mut dirty) {
             return None;
         }
         let mut next = current.clone();

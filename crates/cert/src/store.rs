@@ -10,6 +10,8 @@
 //! * **atomicity** — a document is written to a temp file in the target
 //!   directory and `rename`d over the destination, so a kill at any instant
 //!   leaves either the old document or the new one, never a torn write;
+//!   the file is fsynced before the rename and the directory after it, so
+//!   a crash after a successful write cannot lose the new entry;
 //! * **retry with backoff** — transient I/O failures (a store directory on
 //!   contended network storage, an EMFILE blip) are retried a bounded
 //!   number of times with exponential backoff before the error surfaces.
@@ -24,21 +26,42 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Write `contents` to `path` atomically: temp file in the same directory
-/// (so the rename never crosses filesystems), fsync, then rename over the
-/// target. A kill mid-write never corrupts an existing document. On any
-/// failure the temp file is removed — an error path never litters the
-/// store directory with `.tmp` orphans.
+/// (so the rename never crosses filesystems), fsync, rename over the
+/// target, then fsync the directory so the rename itself survives a crash.
+/// A kill mid-write never corrupts an existing document. On any failure
+/// the temp file is removed — an error path never litters the store
+/// directory with `.tmp` orphans — and the error is returned, so
+/// [`write_atomic_retry`] writes again when the directory sync fails.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     let write = |tmp: &Path| -> std::io::Result<()> {
         let mut f = std::fs::File::create(tmp)?;
         f.write_all(contents.as_bytes())?;
         f.sync_all()?;
-        std::fs::rename(tmp, path)
+        std::fs::rename(tmp, path)?;
+        sync_parent_dir(path)
     };
     write(&tmp).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
+}
+
+/// Fsync the directory holding `path` (the current directory for a bare
+/// file name), making a rename into it durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for fsync here; the rename is as durable
+/// as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// Move a corrupt document out of the store's way by appending `.bad` to

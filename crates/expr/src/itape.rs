@@ -25,6 +25,29 @@
 //! The forward variants compute bit-identical slot values for the same box:
 //! the dirty-slot passes only skip slots whose inputs are unchanged.
 //!
+//! # Clean slots in the backward sweep
+//!
+//! The HC4 passes carry one `dirty` flag per slot. A slot is *clean* while
+//! its enclosure still equals the value the last forward or
+//! [`IntervalTape::forward_meet`] evaluation computed for it; root
+//! imposition, an inverse rule or `forward_meet`'s intersection that leaves
+//! it narrower makes it dirty. [`IntervalTape::backward`] skips the inverse
+//! rule of a clean slot whose operation is *total* — defined on all of ℝ:
+//! `add`, `mul`, `neg`, `powi` with n a power of two, `exp`, `cbrt`,
+//! `atan`, `abs`, `min`, `max`, `sin`, `cos` — and of every leaf. The skip
+//! is exact, not a heuristic: a clean parent contains the image of its
+//! children (they only narrow after the parent was evaluated), and a sound
+//! inverse rule applied to an enclosure containing that image returns a
+//! superset of each child, so the meet it would perform changes nothing.
+//! Partial operations (`div`, `pow`, `ln`, `sqrt`, `lambertw`, `ite`,
+//! `powi` with n ≤ 0) always run, because they clip a child to their domain
+//! even from an unnarrowed parent: `sqrt` over [−1, 4] narrows its child to
+//! [0, 4]. So do `tanh` and the other positive powers: they are total, but
+//! their rules round more loosely than their slop covers and can narrow a
+//! child below its own image. The emptiness test runs on every slot, skipped
+//! or not: an empty slot in an unselected `ite` branch proves the box empty.
+//! A caller that sets every flag before the sweep runs every rule.
+//!
 //! Slot files are **write-before-read**: every pass overwrites each slot it
 //! touches before reading it, so scratch buffers are reused across boxes
 //! verbatim — no per-box reinitialization (to [`Interval::ENTIRE`] or
@@ -414,15 +437,20 @@ impl IntervalTape {
 
     /// Re-run the forward pass, *intersecting* each non-leaf slot with its
     /// recomputed value (between HC4 sweeps). Leaves keep their current —
-    /// possibly contracted — enclosures.
-    pub fn forward_meet(&self, vals: &mut [Interval]) {
+    /// possibly contracted — enclosures. Each non-leaf slot's `dirty` flag
+    /// is reset to whether the intersection left it narrower than the
+    /// recomputed value (see [`IntervalTape::backward`]).
+    pub fn forward_meet(&self, vals: &mut [Interval], dirty: &mut [bool]) {
         debug_assert_eq!(vals.len(), self.code.len());
+        debug_assert_eq!(dirty.len(), self.code.len());
         for (i, instr) in self.code.iter().enumerate() {
             match *instr {
                 Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {}
                 op => {
                     let fresh = eval_op(op, vals);
-                    vals[i] = vals[i].intersect(&fresh);
+                    let met = vals[i].intersect(&fresh);
+                    dirty[i] = met != fresh;
+                    vals[i] = met;
                 }
             }
         }
@@ -432,13 +460,32 @@ impl IntervalTape {
     /// contracting children through the inverse of each operation. Returns
     /// `false` when some slot is proven empty (no solution in the box).
     ///
+    /// `dirty` holds one flag per slot: `false` marks a clean slot, whose
+    /// enclosure still equals the value the last [`IntervalTape::forward`]
+    /// or [`IntervalTape::forward_meet`] computed for it. The sweep skips
+    /// the inverse rule of a clean slot whose operation is total, testing
+    /// only its emptiness, and sets the flag of every child a rule narrows.
+    /// The skip is exact: the slot's enclosure contains the image of its
+    /// children (which have only narrowed since it was computed), so a
+    /// sound rule would intersect each child with a superset of itself.
+    /// Partial operations clip their children to the operation's domain,
+    /// and a few total ones round their rules loosely; those run whatever
+    /// their flag says. With every flag set, every rule runs. See the
+    /// module docs.
+    ///
     /// Soundness: every rule computes a *superset* of the child values
     /// consistent with the parent's current enclosure; operations without a
     /// cheap inverse (`sin`, `cos`, parts of `pow`) do not contract.
-    pub fn backward(&self, vals: &mut [Interval]) -> bool {
+    pub fn backward(&self, vals: &mut [Interval], dirty: &mut [bool]) -> bool {
         debug_assert_eq!(vals.len(), self.code.len());
+        debug_assert_eq!(dirty.len(), self.code.len());
         for i in (0..self.code.len()).rev() {
-            if !backward_step(i as u32, self.code[i], vals) {
+            let instr = self.code[i];
+            if dirty[i] || !total(instr) {
+                if !backward_step(i as u32, instr, vals, dirty) {
+                    return false;
+                }
+            } else if vals[i].is_empty() {
                 return false;
             }
         }
@@ -446,11 +493,49 @@ impl IntervalTape {
     }
 }
 
+/// Whether [`IntervalTape::backward`] may skip the inverse rule of `instr`
+/// on a clean slot: true for the leaves (no rule) and for the total
+/// operations whose rule leaves every child of an unnarrowed parent as it
+/// is (the `clean_slot_inverse_rules_change_nothing` property). The partial
+/// operations clip a child to their domain even from an unnarrowed parent.
+/// `tanh` and `powi` with an exponent n > 0 that is not a power of two are
+/// total, but their rules lose more than their rounding slop (`atanh` as
+/// `ln((1 + x)/(1 − x))`, the n-th root as `powf` with a rounded `1/n`) and
+/// can narrow a child below its own image; they always run too, so the
+/// sweep stays the full sweep.
+fn total(instr: Instr) -> bool {
+    match instr {
+        Instr::Const(_)
+        | Instr::IConst(_)
+        | Instr::Var(_)
+        | Instr::Add(..)
+        | Instr::Mul(..)
+        | Instr::Neg(_)
+        | Instr::Exp(_)
+        | Instr::Cbrt(_)
+        | Instr::Atan(_)
+        | Instr::Sin(_)
+        | Instr::Cos(_)
+        | Instr::Abs(_)
+        | Instr::Min(..)
+        | Instr::Max(..) => true,
+        Instr::PowI(_, n) => n > 0 && n.count_ones() == 1,
+        Instr::Tanh(_)
+        | Instr::Div(..)
+        | Instr::Pow(..)
+        | Instr::Ln(_)
+        | Instr::Sqrt(_)
+        | Instr::LambertW(_)
+        | Instr::Ite(..) => false,
+    }
+}
+
 /// The HC4 inverse rule for one instruction, on one box's slot values:
 /// read the node's enclosure, contract the children through the operation's
-/// inverse. `false` when emptiness is proven.
+/// inverse, flagging every child it narrows in `dirty`. `false` when
+/// emptiness is proven.
 #[allow(clippy::too_many_lines)]
-fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
+fn backward_step(i: u32, instr: Instr, vals: &mut [Interval], dirty: &mut [bool]) -> bool {
     {
         let d = vals[i as usize];
         if d.is_empty() {
@@ -460,29 +545,29 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
             Instr::Const(_) | Instr::IConst(_) | Instr::Var(_) => {}
             Instr::Add(a, b) => {
                 let (ca, cb) = (vals[a as usize], vals[b as usize]);
-                if !meet(vals, a, d.sub(&cb)) || !meet(vals, b, d.sub(&ca)) {
+                if !meet(vals, dirty, a, d.sub(&cb)) || !meet(vals, dirty, b, d.sub(&ca)) {
                     return false;
                 }
             }
             Instr::Mul(a, b) => {
                 let (ca, cb) = (vals[a as usize], vals[b as usize]);
-                if !meet(vals, a, d.div(&cb)) || !meet(vals, b, d.div(&ca)) {
+                if !meet(vals, dirty, a, d.div(&cb)) || !meet(vals, dirty, b, d.div(&ca)) {
                     return false;
                 }
             }
             Instr::Div(a, b) => {
                 let (ca, cb) = (vals[a as usize], vals[b as usize]);
-                if !meet(vals, a, d.mul(&cb)) || !meet(vals, b, ca.div(&d)) {
+                if !meet(vals, dirty, a, d.mul(&cb)) || !meet(vals, dirty, b, ca.div(&d)) {
                     return false;
                 }
             }
             Instr::Neg(a) => {
-                if !meet(vals, a, d.neg()) {
+                if !meet(vals, dirty, a, d.neg()) {
                     return false;
                 }
             }
             Instr::PowI(a, n) => {
-                if !backward_powi(vals, a, n, d) {
+                if !backward_powi(vals, dirty, a, n, d) {
                     return false;
                 }
             }
@@ -497,10 +582,10 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                     let ld = dpos.ln();
                     if !ld.is_empty() {
                         let la = ca.ln();
-                        if !meet(vals, a, ld.div(&cb).exp()) {
+                        if !meet(vals, dirty, a, ld.div(&cb).exp()) {
                             return false;
                         }
-                        if !la.is_empty() && !meet(vals, b, ld.div(&la)) {
+                        if !la.is_empty() && !meet(vals, dirty, b, ld.div(&la)) {
                             return false;
                         }
                     }
@@ -509,12 +594,12 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
             Instr::Exp(a) => {
                 // exp(a) = d  =>  a = ln(d); d.hi <= 0 is infeasible.
                 let pre = d.ln();
-                if pre.is_empty() || !meet(vals, a, pre) {
+                if pre.is_empty() || !meet(vals, dirty, a, pre) {
                     return false;
                 }
             }
             Instr::Ln(a) => {
-                if !meet(vals, a, d.exp()) {
+                if !meet(vals, dirty, a, d.exp()) {
                     return false;
                 }
             }
@@ -523,12 +608,12 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 if dpos.is_empty() {
                     return false;
                 }
-                if !meet(vals, a, dpos.powi(2)) {
+                if !meet(vals, dirty, a, dpos.powi(2)) {
                     return false;
                 }
             }
             Instr::Cbrt(a) => {
-                if !meet(vals, a, d.powi(3)) {
+                if !meet(vals, dirty, a, d.powi(3)) {
                     return false;
                 }
             }
@@ -552,7 +637,7 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 } else {
                     round::libm_hi(dc.hi.tan())
                 };
-                if !meet(vals, a, Interval::checked(lo, hi)) {
+                if !meet(vals, dirty, a, Interval::checked(lo, hi)) {
                     return false;
                 }
             }
@@ -584,6 +669,7 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 };
                 if !meet(
                     vals,
+                    dirty,
                     a,
                     Interval::checked(atanh(dc.lo, false), atanh(dc.hi, true)),
                 ) {
@@ -600,7 +686,7 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 if pre.is_empty() {
                     return false;
                 }
-                vals[a as usize] = pre;
+                set(vals, dirty, a, pre);
             }
             Instr::Min(a, b) => {
                 let (ca, cb) = (vals[a as usize], vals[b as usize]);
@@ -619,8 +705,8 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 if na.is_empty() || nb.is_empty() {
                     return false;
                 }
-                vals[a as usize] = na;
-                vals[b as usize] = nb;
+                set(vals, dirty, a, na);
+                set(vals, dirty, b, nb);
             }
             Instr::Max(a, b) => {
                 let (ca, cb) = (vals[a as usize], vals[b as usize]);
@@ -636,23 +722,23 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                 if na.is_empty() || nb.is_empty() {
                     return false;
                 }
-                vals[a as usize] = na;
-                vals[b as usize] = nb;
+                set(vals, dirty, a, na);
+                set(vals, dirty, b, nb);
             }
             Instr::LambertW(a) => {
                 // W(a) = d  =>  a = d e^d (monotone on our domain).
-                if !meet(vals, a, d.mul(&d.exp())) {
+                if !meet(vals, dirty, a, d.mul(&d.exp())) {
                     return false;
                 }
             }
             Instr::Ite(c, t, e) => {
                 let cc = vals[c as usize];
                 if cc.certainly_ge(0.0) {
-                    if !meet(vals, t, d) {
+                    if !meet(vals, dirty, t, d) {
                         return false;
                     }
                 } else if cc.certainly_lt(0.0) {
-                    if !meet(vals, e, d) {
+                    if !meet(vals, dirty, e, d) {
                         return false;
                     }
                 } else {
@@ -664,15 +750,15 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval]) -> bool {
                         (false, false) => return false,
                         (false, true) => {
                             // cond must be negative; closed meet is sound.
-                            if !meet(vals, c, Interval::new(f64::NEG_INFINITY, 0.0))
-                                || !meet(vals, e, d)
+                            if !meet(vals, dirty, c, Interval::new(f64::NEG_INFINITY, 0.0))
+                                || !meet(vals, dirty, e, d)
                             {
                                 return false;
                             }
                         }
                         (true, false) => {
-                            if !meet(vals, c, Interval::new(0.0, f64::INFINITY))
-                                || !meet(vals, t, d)
+                            if !meet(vals, dirty, c, Interval::new(0.0, f64::INFINITY))
+                                || !meet(vals, dirty, t, d)
                             {
                                 return false;
                             }
@@ -728,25 +814,34 @@ pub(crate) fn eval_op(instr: Instr, vals: &[Interval]) -> Interval {
     }
 }
 
+/// Store a child's contracted enclosure, flagging the slot dirty when the
+/// store narrows it.
+#[inline]
+fn set(vals: &mut [Interval], dirty: &mut [bool], idx: u32, v: Interval) {
+    let slot = idx as usize;
+    dirty[slot] |= v != vals[slot];
+    vals[slot] = v;
+}
+
 /// Meet the slot with `narrow`; false if proven empty.
 #[inline]
-fn meet(vals: &mut [Interval], idx: u32, narrow: Interval) -> bool {
+fn meet(vals: &mut [Interval], dirty: &mut [bool], idx: u32, narrow: Interval) -> bool {
     let m = vals[idx as usize].intersect(&narrow);
-    vals[idx as usize] = m;
+    set(vals, dirty, idx, m);
     !m.is_empty()
 }
 
-fn backward_powi(vals: &mut [Interval], a: u32, n: i32, d: Interval) -> bool {
+fn backward_powi(vals: &mut [Interval], dirty: &mut [bool], a: u32, n: i32, d: Interval) -> bool {
     if n == 0 {
         return !d.intersect(&Interval::ONE).is_empty();
     }
     if n < 0 {
         // a^n = 1/a^{-n}: invert the target and recurse on the positive
         // exponent.
-        return backward_powi(vals, a, -n, d.recip());
+        return backward_powi(vals, dirty, a, -n, d.recip());
     }
     if n % 2 == 1 {
-        meet(vals, a, d.nth_root(n))
+        meet(vals, dirty, a, d.nth_root(n))
     } else {
         let dpos = d.intersect(&Interval::new(0.0, f64::INFINITY));
         if dpos.is_empty() {
@@ -758,7 +853,7 @@ fn backward_powi(vals: &mut [Interval], a: u32, n: i32, d: Interval) -> bool {
         if pre.is_empty() {
             return false;
         }
-        vals[a as usize] = pre;
+        set(vals, dirty, a, pre);
         true
     }
 }
@@ -767,6 +862,7 @@ fn backward_powi(vals: &mut [Interval], a: u32, n: i32, d: Interval) -> bool {
 mod tests {
     use super::*;
     use crate::{constant, var, IntervalEnv};
+    use proptest::prelude::*;
     use xcv_interval::interval;
 
     #[test]
@@ -805,7 +901,7 @@ mod tests {
         tape.forward(&[interval(0.0, 10.0)], &mut vals);
         let root = tape.root_slot(0) as usize;
         vals[root] = vals[root].intersect(&Interval::new(f64::NEG_INFINITY, 0.0));
-        assert!(tape.backward(&mut vals));
+        assert!(tape.backward(&mut vals, &mut vec![true; tape.len()]));
         let (xslot, v) = tape.var_slots()[0];
         assert_eq!(v, 0);
         assert!(vals[xslot as usize].hi <= 3.0 + 1e-9);
@@ -821,7 +917,7 @@ mod tests {
         tape.forward(&[interval(-10.0, 10.0)], &mut vals);
         let root = tape.root_slot(0) as usize;
         vals[root] = vals[root].intersect(&Interval::new(f64::NEG_INFINITY, 0.0));
-        assert!(vals[root].is_empty() || !tape.backward(&mut vals));
+        assert!(vals[root].is_empty() || !tape.backward(&mut vals, &mut vec![true; tape.len()]));
     }
 
     #[test]
@@ -833,7 +929,7 @@ mod tests {
         // Narrow the variable slot by hand, then re-tighten the sum.
         let (xslot, _) = tape.var_slots()[0];
         vals[xslot as usize] = interval(0.0, 1.0);
-        tape.forward_meet(&mut vals);
+        tape.forward_meet(&mut vals, &mut vec![false; tape.len()]);
         let root = vals[tape.root_slot(0) as usize];
         assert!(root.hi <= 2.0 + 1e-12, "{root:?}");
     }
@@ -866,7 +962,7 @@ mod tests {
         tape.forward(&[interval(0.0, 10.0)], &mut vals);
         let root = tape.root_slot(0) as usize;
         vals[root] = vals[root].intersect(&Interval::new(f64::NEG_INFINITY, 1.0));
-        assert!(tape.backward(&mut vals));
+        assert!(tape.backward(&mut vals, &mut vec![true; tape.len()]));
         let (xslot, v) = tape.var_slots()[0];
         assert_eq!(v, 0);
         assert!(vals[xslot as usize].hi <= 1.0 / 2f64.sqrt() + 1e-9);
@@ -959,7 +1055,11 @@ mod tests {
         let root = tape.root_slot(0) as usize;
         a[root] = a[root].intersect(&Interval::new(f64::NEG_INFINITY, 0.5));
         b[root] = b[root].intersect(&Interval::new(f64::NEG_INFINITY, 0.5));
-        assert_eq!(tape.backward(&mut a), back.backward(&mut b));
+        let mut all = vec![true; tape.len()];
+        assert_eq!(
+            tape.backward(&mut a, &mut all.clone()),
+            back.backward(&mut b, &mut all)
+        );
         assert_eq!(a, b);
         // And the text itself is stable under a second round trip.
         assert_eq!(back.to_portable(), text);
@@ -983,6 +1083,138 @@ mod tests {
                 IntervalTape::from_portable(bad).is_err(),
                 "accepted malformed tape {bad:?}"
             );
+        }
+    }
+
+    /// A random child enclosure as the parent's forward pass saw it, and
+    /// the sub-interval it has narrowed to since (as other parents' rules
+    /// narrow a shared child before the sweep reaches this parent). The
+    /// first is zero-width, zero-containing, half-infinite, `ENTIRE`, a
+    /// general finite interval or (rarely) empty; the second keeps it,
+    /// collapses it to one of its bounds or takes a random sub-interval.
+    struct Child;
+
+    /// An exact 0 or ±1, or a signed magnitude: mostly within 1e±6, now and
+    /// then anywhere from 1e-300 to 1e300 (overflow and underflow edges).
+    fn value(rng: &mut TestRng) -> f64 {
+        let sign = if rng.below(2) == 0 { -1.0 } else { 1.0 };
+        match rng.below(8) {
+            0 => 0.0,
+            1 => sign,
+            2 => sign * 10f64.powf(600.0 * rng.unit_f64() - 300.0),
+            _ => sign * 10f64.powf(12.0 * rng.unit_f64() - 6.0),
+        }
+    }
+
+    /// A point of the non-empty interval `iv`, finite where `iv` allows.
+    fn inside(iv: Interval, rng: &mut TestRng) -> f64 {
+        let u = rng.unit_f64();
+        match (iv.lo.is_finite(), iv.hi.is_finite()) {
+            (true, true) => (iv.lo + u * (iv.hi - iv.lo)).clamp(iv.lo, iv.hi),
+            (true, false) => iv.lo + value(rng).abs(),
+            (false, true) => iv.hi - value(rng).abs(),
+            (false, false) => value(rng),
+        }
+    }
+
+    impl Strategy for Child {
+        type Value = (Interval, Interval);
+        fn generate(&self, rng: &mut TestRng) -> (Interval, Interval) {
+            let (a, b) = (value(rng), value(rng));
+            let old = match rng.below(13) {
+                0 => Interval::EMPTY,
+                1 | 2 => Interval::point(a),
+                3 | 4 => Interval::new(-a.abs(), b.abs()),
+                5 => Interval::new(0.0, b.abs()),
+                6 => Interval::new(-a.abs(), 0.0),
+                7 => Interval::new(a, f64::INFINITY),
+                8 => Interval::new(f64::NEG_INFINITY, a),
+                9 => Interval::ENTIRE,
+                _ => Interval::new(a.min(b), a.max(b)),
+            };
+            if old.is_empty() {
+                return (old, old);
+            }
+            let now = match rng.below(5) {
+                0 | 1 => old,
+                2 if old.lo.is_finite() => Interval::point(old.lo),
+                3 if old.hi.is_finite() => Interval::point(old.hi),
+                _ => {
+                    let (p, q) = (inside(old, rng), inside(old, rng));
+                    Interval::new(p.min(q), p.max(q))
+                }
+            };
+            (old, now)
+        }
+    }
+
+    /// Every operation, on operand slots 0..=2 with its result in slot 3.
+    fn every_op() -> Vec<Instr> {
+        let mut ops = vec![
+            Instr::Add(0, 1),
+            Instr::Mul(0, 1),
+            Instr::Div(0, 1),
+            Instr::Neg(0),
+            Instr::Pow(0, 1),
+            Instr::Exp(0),
+            Instr::Ln(0),
+            Instr::Sqrt(0),
+            Instr::Cbrt(0),
+            Instr::Atan(0),
+            Instr::Sin(0),
+            Instr::Cos(0),
+            Instr::Tanh(0),
+            Instr::Abs(0),
+            Instr::Min(0, 1),
+            Instr::Max(0, 1),
+            Instr::LambertW(0),
+            Instr::Ite(0, 1, 2),
+        ];
+        ops.extend((-3..=8).chain([16]).map(|n| Instr::PowI(0, n)));
+        ops
+    }
+
+    fn bits(vals: &[Interval]) -> Vec<(u64, u64)> {
+        vals.iter()
+            .map(|v| (v.lo.to_bits(), v.hi.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The clean-slot skip in `backward` is exact: for every operation
+        /// `total` admits, the inverse rule run on the parent's unchanged
+        /// forward image leaves every child bit-identical, flags none of
+        /// them and reports no emptiness (an empty image — only from an
+        /// empty child — is reported by the emptiness test the sweep still
+        /// runs on skipped slots). Whitelisting a partial operation fails
+        /// here: `sqrt` or `ln` over [−1, 4] clip the child to [0, 4], `div`
+        /// empties its numerator once the divisor narrows to [0, 0], and
+        /// `ite` narrows its condition when a branch is empty.
+        #[test]
+        fn clean_slot_inverse_rules_change_nothing(c0 in Child, c1 in Child, c2 in Child) {
+            for op in every_op().into_iter().filter(|&op| total(op)) {
+                let mut vals = vec![c0.0, c1.0, c2.0, Interval::ENTIRE];
+                vals[3] = eval_op(op, &vals);
+                let image = vals[3];
+                vals[..3].copy_from_slice(&[c0.1, c1.1, c2.1]);
+                let before = bits(&vals);
+                let mut dirty = [false; 4];
+                let ok = backward_step(3, op, &mut vals, &mut dirty);
+                prop_assert_eq!(
+                    ok,
+                    !image.is_empty(),
+                    "{:?} over {:?} -> {:?}: emptiness reported {}",
+                    op, (c0, c1, c2), image, !ok
+                );
+                prop_assert!(
+                    bits(&vals) == before,
+                    "{:?} over {:?} -> {:?} narrowed a child to {:?}",
+                    op, (c0, c1, c2), image, &vals[..3]
+                );
+                prop_assert_eq!(dirty, [false; 4]);
+            }
         }
     }
 

@@ -409,6 +409,14 @@ impl CompiledFormula {
 
     /// [`CompiledFormula::contract`] with an explicit forward/backward round
     /// count (the ablation benchmarks sweep it).
+    ///
+    /// The per-slot dirty flags live in [`SolveScratch`]: cleared after the
+    /// box's forward pass (every slot then holds its forward image), set at
+    /// root imposition when a relation narrows an atom's root, and kept by
+    /// `forward_meet` and the backward sweep, which skips the inverse rules
+    /// of clean slots of total operations (see
+    /// [`IntervalTape::backward`]). The skip is exact: the contraction
+    /// equals the one that runs every rule, bit for bit.
     pub fn contract_with_rounds(
         &self,
         b: &BoxDomain,
@@ -416,13 +424,16 @@ impl CompiledFormula {
         max_rounds: usize,
     ) -> Contraction {
         let vals = &mut scratch.ivals;
+        let dirty = &mut scratch.dirty;
         ensure_slots(vals, self.itape.len());
         self.itape.forward(b.dims(), vals);
+        dirty.clear();
+        dirty.resize(self.itape.len(), false);
         let mut current = b.clone();
         for round in 0..max_rounds {
             if round > 0 {
                 // Re-tighten parents from the narrowed children.
-                self.itape.forward_meet(vals);
+                self.itape.forward_meet(vals, dirty);
             }
             // Impose root constraints.
             for a in &self.atoms {
@@ -431,10 +442,11 @@ impl CompiledFormula {
                 if met.is_empty() {
                     return Contraction::Empty;
                 }
+                dirty[slot] |= met != vals[slot];
                 vals[slot] = met;
             }
             // Backward sweep.
-            if !self.itape.backward(vals) {
+            if !self.itape.backward(vals, dirty) {
                 return Contraction::Empty;
             }
             // Extract variable domains. Variables beyond the box's dimension
@@ -826,6 +838,12 @@ fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
 pub struct SolveScratch {
     /// Slot file of the formula's shared interval tape.
     ivals: Vec<Interval>,
+    /// One dirty flag per `ivals` slot for the HC4 passes: `false` while the
+    /// slot still holds the value the last forward or `forward_meet`
+    /// evaluation computed, so the backward sweep may skip a total
+    /// operation's inverse rule there. Unlike the slot files, rewritten per
+    /// box (cleared after each forward pass).
+    dirty: Vec<bool>,
     /// Slot file for the mean-value tapes (resized per atom).
     mvals: Vec<Interval>,
     /// Register file for the f64 atom tapes (resized per atom).
@@ -858,6 +876,14 @@ impl SolveScratch {
     /// this scratch (e.g. ψ validation in the verifier).
     pub fn f64_buf(&mut self) -> &mut Vec<f64> {
         &mut self.fvals
+    }
+
+    /// The interval slot file as the last [`CompiledFormula::contract`]
+    /// left it: every slot of the formula's shared tape, the variable slots
+    /// included. The equivalence tests compare it with the certificate
+    /// checker's reference contraction.
+    pub fn slot_file(&self) -> &[Interval] {
+        &self.ivals
     }
 }
 

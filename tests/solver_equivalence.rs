@@ -20,11 +20,18 @@
 //! * the pinned extended (45) and ζ-resolved (66) matrices verified with
 //!   the parallel fan-out and with the sequential recursion: identical
 //!   regions and identical aggregate solver statistics (the reason
-//!   `VerifierConfig::fingerprint` leaves `parallel` out).
+//!   `VerifierConfig::fingerprint` leaves `parallel` out);
+//! * proptest over random sub-boxes of the 45 extended and 16 ζ-resolved
+//!   spin pairs, plus three formulas whose partial operations straddle
+//!   their domains: the solver's HC4 contraction, which skips the inverse
+//!   rules of clean slots, equals the certificate checker's replica, which
+//!   runs every rule — the outcome and the whole slot file, bit for bit.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use xcv_bench::seed_baseline::seed_solve_with_stats;
 use xcverifier::prelude::*;
+use xcverifier::solver::contract::Contraction;
 use xcverifier::solver::{CompiledFormula, SolveScratch};
 
 // ---------------------------------------------------------------------------
@@ -356,4 +363,119 @@ fn pinned_spin_matrix_parallel_matches_sequential() {
     let problems = Encoder::encode_all_spin();
     assert_eq!(problems.len(), 66);
     assert_parallel_matches_sequential(&problems);
+}
+
+// ---------------------------------------------------------------------------
+// Clean-slot HC4 vs every inverse rule, on sub-boxes of the pinned matrices
+// ---------------------------------------------------------------------------
+
+/// The differential inputs, compiled once: the 45 extended pairs and the
+/// 16 ζ-resolved spin pairs over their domains, and three formulas over
+/// [−2, 2]² whose partial operations (`sqrt`, `ln`, `div`, `lambertw`,
+/// an `ite` with a `sqrt` branch) see arguments straddling their domain
+/// boundaries. On the matrices alone, `sqrt` wrongly admitted to the skip
+/// went unnoticed — their `sqrt` arguments stay inside its domain — so the
+/// three keep this test sensitive to a partial operation in the skip.
+fn differential_inputs() -> &'static [(String, CompiledFormula, BoxDomain)] {
+    static INPUTS: OnceLock<Vec<(String, CompiledFormula, BoxDomain)>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let mut problems = Encoder::encode_all_extended();
+        problems.extend(Encoder::encode_registry(&Registry::spin()));
+        assert_eq!(problems.len(), 45 + 16);
+        let mut inputs: Vec<_> = problems
+            .iter()
+            .map(|p| {
+                let name = format!("{} / {}", p.functional_name(), p.condition.name());
+                (name, p.compiled().clone(), p.domain.clone())
+            })
+            .collect();
+        let (x, y) = (var(0), var(1));
+        let square = BoxDomain::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]);
+        for atom in [
+            Atom::new(x.sqrt() + y.ln() - 1.0, Rel::Le),
+            Atom::new(x.clone() / y.clone() + x.lambert_w(), Rel::Ge),
+            Atom::new(Expr::ite(&x, &y.sqrt(), &(y.clone() * 2.0)) - 0.5, Rel::Ge),
+        ] {
+            let name = atom.to_string();
+            let compiled = CompiledFormula::compile(&Formula::single(atom));
+            inputs.push((name, compiled, square.clone()));
+        }
+        inputs
+    })
+}
+
+/// One random sub-box per differential input: per axis, a width of 2^-k
+/// of the domain (k in 0..=40, so from the whole axis down to the depths a
+/// long search reaches) at a uniform offset.
+struct SubBoxes;
+
+impl Strategy for SubBoxes {
+    type Value = Vec<BoxDomain>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<BoxDomain> {
+        differential_inputs()
+            .iter()
+            .map(|(_, _, domain)| {
+                let dims = domain
+                    .dims()
+                    .iter()
+                    .map(|d| {
+                        let w = d.width() * 0.5f64.powi(rng.below(41) as i32);
+                        let lo = (d.lo + rng.unit_f64() * (d.width() - w)).max(d.lo);
+                        Interval::new(lo, (lo + w).clamp(lo, d.hi))
+                    })
+                    .collect();
+                BoxDomain::new(dims)
+            })
+            .collect()
+    }
+}
+
+fn bits(vals: &[Interval]) -> Vec<(u64, u64)> {
+    vals.iter()
+        .map(|v| (v.lo.to_bits(), v.hi.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `CompiledFormula::contract_with_rounds` skips the inverse rules of
+    /// clean slots; `xcv_cert::contract`, the checker's replica of the same
+    /// round loop, flags every slot dirty and runs every rule. For every
+    /// round count up to the solver's, both must reach the same outcome
+    /// with the same slot file, bit for bit. Admitting a partial operation
+    /// to the skip breaks this on the domain-straddling inputs: `sqrt` and
+    /// `ln` keep children the full sweep clips to their domains.
+    #[test]
+    fn clean_slot_contraction_matches_every_rule(boxes in SubBoxes) {
+        let mut scratch = SolveScratch::new();
+        let mut vals = Vec::new();
+        for ((name, compiled, _), b) in differential_inputs().iter().zip(&boxes) {
+            let tape = compiled.interval_tape();
+            let atoms: Vec<(usize, Interval)> = compiled
+                .atom_rels()
+                .iter()
+                .enumerate()
+                .map(|(i, rel)| (tape.root_slot(i) as usize, rel.allowed()))
+                .collect();
+            for rounds in 1..=compiled.max_rounds() {
+                let what = format!("{name} over {b}, {rounds} round(s)");
+                let got = compiled.contract_with_rounds(b, &mut scratch, rounds);
+                let want = xcverifier::cert::contract(tape, &atoms, rounds, b.dims(), &mut vals);
+                match (&got, &want) {
+                    (Contraction::Empty, None) => {}
+                    (Contraction::Box(g), Some(w)) => {
+                        prop_assert!(bits(g.dims()) == bits(w), "box of {what}: {g} vs {w:?}");
+                    }
+                    _ => {
+                        prop_assert!(false, "outcome of {what}: {got:?} vs {want:?}");
+                    }
+                }
+                prop_assert!(
+                    bits(scratch.slot_file()) == bits(&vals),
+                    "slot file of {what}"
+                );
+            }
+        }
+    }
 }
