@@ -16,6 +16,14 @@
 //!   3B slab shaver probes one box face at a time this way: a slab differs
 //!   from the box only along one axis, so every slot outside that axis'
 //!   dependency cone keeps its (already computed, bit-identical) enclosure;
+//! * [`IntervalTape::forward_from_image`] — the same re-evaluation into a
+//!   fresh slot file, seeded from another box's forward image, with the
+//!   changed axes found by comparing the new box against that image's
+//!   variable slots. The solver's depth-first search evaluates every child
+//!   node this way from its parent's image: a child differs from its
+//!   parent's popped box on the split axis and on every axis that HC4, or
+//!   the escalation ladder's Newton and shaving rungs, narrowed before the
+//!   split — usually the split axis alone;
 //! * [`IntervalTape::forward_meet`] — re-tighten parents from narrowed
 //!   children (between HC4 sweeps), intersecting in place;
 //! * [`IntervalTape::backward`] — one reverse sweep of the HC4 inverse rules,
@@ -71,6 +79,13 @@ fn var_bit(v: u32) -> u64 {
     } else {
         u64::MAX
     }
+}
+
+/// The value a forward pass gives variable `v`'s slot: its domain, or
+/// `ENTIRE` for a variable beyond `domains`.
+#[inline]
+fn var_value(domains: &[Interval], v: u32) -> Interval {
+    domains.get(v as usize).copied().unwrap_or(Interval::ENTIRE)
 }
 
 /// A compiled, shareable interval program over one or more expression roots.
@@ -395,7 +410,7 @@ impl IntervalTape {
             vals[i] = match *instr {
                 Instr::Const(c) => Interval::point(c),
                 Instr::IConst(v) => v,
-                Instr::Var(v) => domains.get(v as usize).copied().unwrap_or(Interval::ENTIRE),
+                Instr::Var(v) => var_value(domains, v),
                 op => eval_op(op, vals),
             };
         }
@@ -429,10 +444,39 @@ impl IntervalTape {
             vals[i] = match *instr {
                 Instr::Const(c) => Interval::point(c),
                 Instr::IConst(v) => v,
-                Instr::Var(v) => domains.get(v as usize).copied().unwrap_or(Interval::ENTIRE),
+                Instr::Var(v) => var_value(domains, v),
                 op => eval_op(op, vals),
             };
         }
+    }
+
+    /// Fill `vals` with the forward image of `domains`, seeded from
+    /// `parent`, the forward image of some other box over this tape (in the
+    /// solver's search, the parent node's). The changed axes are those
+    /// whose variable slot in `parent` differs from `domains`, bound for
+    /// bound by bits, so −0.0 against +0.0 counts as a change (arithmetic
+    /// carries the sign of a zero bound into its results). Slots outside
+    /// their dependency cones are copied from `parent`; the rest are
+    /// recomputed. That is the precondition of
+    /// [`IntervalTape::forward_masked`] with the mask derived rather than
+    /// assumed, so the result is bit-identical to a full
+    /// [`IntervalTape::forward`].
+    pub fn forward_from_image(
+        &self,
+        parent: &[Interval],
+        domains: &[Interval],
+        vals: &mut [Interval],
+    ) {
+        let same = |a: Interval, b: Interval| {
+            a.lo.to_bits() == b.lo.to_bits() && a.hi.to_bits() == b.hi.to_bits()
+        };
+        let mask = self
+            .var_slots
+            .iter()
+            .filter(|&&(slot, v)| !same(parent[slot as usize], var_value(domains, v)))
+            .fold(0, |m, &(_, v)| m | var_bit(v));
+        vals.copy_from_slice(parent);
+        self.forward_masked(mask, domains, vals);
     }
 
     /// Re-run the forward pass, *intersecting* each non-leaf slot with its
@@ -1002,8 +1046,9 @@ mod tests {
     #[test]
     fn forward_from_matches_full_forward_bitwise() {
         // A DAG mixing per-axis cones and shared nodes; rebisect each axis
-        // in turn and check the dirty-slot pass reproduces the full pass
-        // exactly (PartialEq on Interval is bitwise on the bounds).
+        // in turn and check the dirty-slot passes reproduce the full pass
+        // bit for bit (`PartialEq` on Interval is IEEE equality, which
+        // takes −0.0 for +0.0, so the bounds are compared by `to_bits`).
         let x = var(0);
         let y = var(1);
         let z = var(2);
@@ -1017,13 +1062,19 @@ mod tests {
             let mut child = parent;
             let (lo, hi) = (parent[axis as usize].lo, parent[axis as usize].hi);
             child[axis as usize] = interval(lo, 0.5 * (lo + hi));
-            // Dirty-slot pass from the parent image...
+            // Dirty-slot passes from the parent image...
             let mut partial = vals.clone();
             tape.forward_from(axis, &child, &mut partial);
+            let mut seeded = tape.scratch();
+            tape.forward_from_image(&vals, &child, &mut seeded);
             // ...must equal a from-scratch forward pass over the child.
             let mut full = tape.scratch();
             tape.forward(&child, &mut full);
-            assert_eq!(partial, full, "axis {axis}");
+            assert!(bits(&partial) == bits(&full), "forward_from, axis {axis}");
+            assert!(
+                bits(&seeded) == bits(&full),
+                "forward_from_image, axis {axis}"
+            );
         }
     }
 

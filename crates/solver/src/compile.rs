@@ -268,7 +268,7 @@ impl CompiledFormula {
         self.atoms.iter().map(|a| a.rel).collect()
     }
 
-    /// Forward/backward rounds one [`CompiledFormula::contract`] call runs.
+    /// Forward/backward rounds the search's contraction of a node runs.
     pub fn max_rounds(&self) -> usize {
         self.max_rounds
     }
@@ -401,14 +401,10 @@ impl CompiledFormula {
         worst
     }
 
-    /// HC4-revise contraction of `b` against the formula (the compiled
-    /// equivalent of [`crate::contract::Hc4::contract`]).
-    pub fn contract(&self, b: &BoxDomain, scratch: &mut SolveScratch) -> Contraction {
-        self.contract_with_rounds(b, scratch, self.max_rounds)
-    }
-
-    /// [`CompiledFormula::contract`] with an explicit forward/backward round
-    /// count (the ablation benchmarks sweep it).
+    /// HC4-revise contraction of `b` against the formula, from a full
+    /// forward pass, in up to `max_rounds` forward/backward rounds (the
+    /// ablation benchmarks sweep the count; the search runs
+    /// [`CompiledFormula::max_rounds`]).
     ///
     /// The per-slot dirty flags live in [`SolveScratch`]: cleared after the
     /// box's forward pass (every slot then holds its forward image), set at
@@ -423,10 +419,57 @@ impl CompiledFormula {
         scratch: &mut SolveScratch,
         max_rounds: usize,
     ) -> Contraction {
+        ensure_slots(&mut scratch.ivals, self.itape.len());
+        self.itape.forward(b.dims(), &mut scratch.ivals);
+        self.hc4_rounds(b, scratch, max_rounds)
+    }
+
+    /// The search's contraction of a node at `depth`: the rounds of
+    /// [`CompiledFormula::contract_with_rounds`], from the node's forward
+    /// image in the scratch's image pool. Depth 0 runs the full pass. A
+    /// deeper node is evaluated from the image at `depth − 1`, which the
+    /// depth-first search guarantees is its parent's: both children are
+    /// pushed together, and every node popped between the parent and a
+    /// child is a descendant of the parent, at a greater depth. The pass
+    /// recomputes only the dependency cones of the axes where the node
+    /// differs from that image ([`IntervalTape::forward_from_image`]), so
+    /// the contraction is bit for bit the one a full pass gives. HC4 runs
+    /// on a copy, leaving the image for the node's own children.
+    pub(crate) fn contract_node(
+        &self,
+        b: &BoxDomain,
+        depth: u32,
+        scratch: &mut SolveScratch,
+    ) -> Contraction {
+        let n = self.itape.len();
+        let d = depth as usize;
+        if scratch.images.len() < (d + 1) * n {
+            scratch.images.resize((d + 1) * n, Interval::ENTIRE);
+        }
+        let (ancestors, rest) = scratch.images.split_at_mut(d * n);
+        let image = &mut rest[..n];
+        match d.checked_sub(1) {
+            None => self.itape.forward(b.dims(), image),
+            Some(p) => self
+                .itape
+                .forward_from_image(&ancestors[p * n..], b.dims(), image),
+        }
+        ensure_slots(&mut scratch.ivals, n);
+        scratch.ivals.copy_from_slice(image);
+        self.hc4_rounds(b, scratch, self.max_rounds)
+    }
+
+    /// The HC4 round loop shared by both contractions: `scratch.ivals` holds
+    /// the forward image of `b` on entry and the contracted slot file on
+    /// return.
+    fn hc4_rounds(
+        &self,
+        b: &BoxDomain,
+        scratch: &mut SolveScratch,
+        max_rounds: usize,
+    ) -> Contraction {
         let vals = &mut scratch.ivals;
         let dirty = &mut scratch.dirty;
-        ensure_slots(vals, self.itape.len());
-        self.itape.forward(b.dims(), vals);
         dirty.clear();
         dirty.resize(self.itape.len(), false);
         let mut current = b.clone();
@@ -671,11 +714,8 @@ impl CompiledFormula {
     /// successful shave (capped at half the remaining width — CID-style
     /// dichotomy, so a deeply infeasible face region is consumed in
     /// logarithmically few probes), stopping at the first feasible-looking
-    /// slab. `only_axis` restricts probing to that axis (the ladder shaves
-    /// just the split axis — the one whose width drives subtree growth —
-    /// to keep the per-node probe count independent of dimension); `None`
-    /// probes every supported axis. Shaving only ever narrows (a slab is
-    /// strictly smaller than its axis); it never empties the box.
+    /// slab. Shaving only ever narrows (a slab is strictly smaller than its
+    /// axis); it never empties the box.
     /// `on_shave` is called per shaved slab with
     /// `(axis, high_face, new_bound)` — the trace hook. Returns `None`
     /// when nothing shaved.
@@ -685,7 +725,6 @@ impl CompiledFormula {
         scratch: &mut SolveScratch,
         frac: f64,
         passes: u32,
-        only_axis: Option<u32>,
         mut on_shave: impl FnMut(u32, bool, f64),
     ) -> Option<BoxDomain> {
         let ndim = b.ndim();
@@ -700,9 +739,6 @@ impl CompiledFormula {
         let mut changed = false;
         for v in 0..ndim.min(64) {
             if !self.supports_axis(v) {
-                continue;
-            }
-            if only_axis.is_some_and(|a| a as usize != v) {
                 continue;
             }
             for high_face in [false, true] {
@@ -817,11 +853,14 @@ pub(crate) fn improvement(before: &BoxDomain, after: &BoxDomain) -> f64 {
 ///
 /// Every tape pass is **write-before-read** (see `xcv_expr::itape`): a full
 /// forward pass overwrites every slot it will read, and the dirty-slot
-/// passes of the rung-2 shaver (`forward_masked`) deliberately read the
-/// previous image. Refilling the buffer with [`Interval::ENTIRE`] per box —
-/// what a naive `vec![ENTIRE; n]` per call amounts to — is therefore pure
-/// wasted memset; only the *length* matters. The fill value here seeds
-/// newly grown slots and is never semantically observed.
+/// passes deliberately read a previous image — the rung-2 shaver's
+/// (`forward_masked`) the box's own, the search's node pass
+/// (`forward_from_image`) the parent's, kept in the image pool of
+/// [`SolveScratch`], which grows the same way. Refilling a buffer with
+/// [`Interval::ENTIRE`] per box — what a naive `vec![ENTIRE; n]` per call
+/// amounts to — is therefore pure wasted memset; only the *length*
+/// matters. The fill value here seeds newly grown slots and is never
+/// semantically observed.
 #[inline]
 fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
     buf.resize(len, Interval::ENTIRE);
@@ -836,8 +875,18 @@ fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
 /// be pure wasted memset (see [`ensure_slots`]).
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Slot file of the formula's shared interval tape.
+    /// Slot file of the formula's shared interval tape: the box's forward
+    /// image, contracted in place by the HC4 rounds.
     ivals: Vec<Interval>,
+    /// The search's image pool: one forward image per DFS depth, flat,
+    /// depth `d` at `d × slots..(d + 1) × slots`, grown on demand. While
+    /// the search pops a node at depth `d`, the image at `d − 1` is its
+    /// parent's, the last node popped at that depth; the image at `d` is
+    /// overwritten with the node's own (see
+    /// [`CompiledFormula::contract_node`]). Depth 0 runs a full pass, so
+    /// the images a previous search left behind — for another formula,
+    /// with another slot count — are never read.
+    images: Vec<Interval>,
     /// One dirty flag per `ivals` slot for the HC4 passes: `false` while the
     /// slot still holds the value the last forward or `forward_meet`
     /// evaluation computed, so the backward sweep may skip a total
@@ -878,10 +927,10 @@ impl SolveScratch {
         &mut self.fvals
     }
 
-    /// The interval slot file as the last [`CompiledFormula::contract`]
-    /// left it: every slot of the formula's shared tape, the variable slots
-    /// included. The equivalence tests compare it with the certificate
-    /// checker's reference contraction.
+    /// The interval slot file as the last contraction left it: every slot
+    /// of the formula's shared tape, the variable slots included. The
+    /// equivalence tests compare it with the certificate checker's
+    /// reference contraction.
     pub fn slot_file(&self) -> &[Interval] {
         &self.ivals
     }
@@ -902,7 +951,7 @@ mod tests {
         let b = BoxDomain::from_bounds(&[(-10.0, 10.0)]);
         let compiled = CompiledFormula::compile(&f);
         let mut scratch = SolveScratch::new();
-        let got = compiled.contract(&b, &mut scratch);
+        let got = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
         let want = crate::contract::Hc4::new(&f).contract(&b);
         assert_eq!(got, want);
     }
@@ -919,7 +968,7 @@ mod tests {
         let b = BoxDomain::from_bounds(&[(-10.0, 10.0)]);
         let compiled = CompiledFormula::compile(&f);
         let mut scratch = SolveScratch::new();
-        let got = compiled.contract(&b, &mut scratch);
+        let got = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
         let want = crate::contract::Hc4::new(&f).contract(&b);
         assert_eq!(got, want);
     }
@@ -948,12 +997,15 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let wide = BoxDomain::from_bounds(&[(0.0, 10.0)]);
         let infeasible = BoxDomain::from_bounds(&[(5.0, 10.0)]);
-        let first = compiled.contract(&wide, &mut scratch);
+        let first = compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds());
         assert_eq!(
-            compiled.contract(&infeasible, &mut scratch),
+            compiled.contract_with_rounds(&infeasible, &mut scratch, compiled.max_rounds()),
             Contraction::Empty
         );
-        assert_eq!(compiled.contract(&wide, &mut scratch), first);
+        assert_eq!(
+            compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds()),
+            first
+        );
     }
 
     #[test]
@@ -1006,8 +1058,8 @@ mod tests {
         // And contraction agrees between the two compilations.
         let wide = BoxDomain::from_bounds(&[(0.0, 3.0), (0.0, 5.0), (0.0, 3.0)]);
         assert_eq!(
-            compiled.contract(&wide, &mut scratch),
-            anon.contract(&wide, &mut scratch)
+            compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds()),
+            anon.contract_with_rounds(&wide, &mut scratch, anon.max_rounds())
         );
     }
 

@@ -8,13 +8,24 @@
 //! [`DeltaSolver::solve`]`(&BoxDomain, &Formula)` signature survives as a
 //! thin compile-then-solve wrapper for one-shot callers and tests.
 //!
-//! The search is a depth-first walk over a stack of boxes. Per box, one
-//! decision step, `step_after_contract`, runs after HC4 contraction: when
-//! the [`Escalation`] ladder is on and the box stalled, rung-1
-//! interval-Newton and rung-2 3B slab shaving, then the midpoint model
-//! check, δ-decision, and axis-aware bisection. The same step records the
-//! [`TraceEvent`] stream (one terminal event per node, intermediates for
-//! Newton/shave) that trace replay and certificate emission consume.
+//! The search is a depth-first walk over a stack of boxes. Each popped box
+//! is contracted from its forward image, which the scratch's image pool
+//! keeps per depth: the root's comes from a full pass, a child's from its
+//! parent's image, recomputing only the dependency cones of the axes where
+//! the child differs from it: the split axis, and every axis that HC4,
+//! rung-1 Newton or the rung-2 shaver narrowed in the parent's step.
+//! The image at depth `d − 1` is the parent's whenever a node at depth `d`
+//! is popped: both children are pushed together, and every node popped in
+//! between descends from the parent, at a greater depth. The image pass is
+//! bit-identical to a full one, so the search is the same node for node.
+//!
+//! Per box, one decision step, `step_after_contract`, runs after HC4
+//! contraction: when the [`Escalation`] ladder is on and the box stalled,
+//! rung-1 interval-Newton and rung-2 3B slab shaving, then the midpoint
+//! model check, δ-decision, and axis-aware bisection. The same step
+//! records the [`TraceEvent`] stream (one terminal event per node,
+//! intermediates for Newton/shave) that trace replay and certificate
+//! emission consume.
 
 use crate::boxdom::BoxDomain;
 use crate::compile::{CompiledFormula, SolveScratch};
@@ -122,13 +133,16 @@ pub struct Escalation {
     /// δ-decision must hold wherever the search lands.)
     pub depth_cap: u32,
     /// Shave only every `shave_stride`-th depth level (`depth %
-    /// shave_stride == 0`). The dominant rung-2 cost is the full interval
-    /// forward pass that seeds each `shave_3b` call's dirty-cone probes —
-    /// paid per *stalled node*, and in a timeout-bound subtree nearly
-    /// every node stalls. A stride keeps the coverage of the whole depth
-    /// range (unlike a hard cap) at `1/stride` of the cost: a slab missed
-    /// at depth `d` is re-probed two levels down on the narrowed child,
-    /// where it is more likely infeasible anyway.
+    /// shave_stride == 0`). Rung 2 is paid per *stalled node*, and in a
+    /// timeout-bound subtree nearly every node stalls. Its cost is the
+    /// dirty-cone probes more than the full forward pass that seeds each
+    /// `shave_3b` call: in `solver_bench --extended`'s ladder mode (2-vCPU
+    /// host), 425,093 probe passes over 35,423 calls took 2,161 of rung
+    /// 2's 2,551 ms, and the seed passes 344 ms. A stride keeps the
+    /// coverage of the whole depth range (unlike a hard cap) at `1/stride`
+    /// of the cost: a slab missed at depth `d` is re-probed two levels
+    /// down on the narrowed child, where it is more likely infeasible
+    /// anyway.
     pub shave_stride: u32,
     /// Widest box (max supported-axis width) rung 1 attempts. The
     /// mean-value enclosure behind interval-Newton is first-order tight,
@@ -419,7 +433,7 @@ impl DeltaSolver {
             {
                 return (Outcome::Timeout, stats);
             }
-            let contraction = compiled.contract(&b, scratch);
+            let contraction = compiled.contract_node(&b, depth, scratch);
             let step = self.step_after_contract(
                 compiled,
                 &b,
@@ -568,7 +582,6 @@ impl DeltaSolver {
                     scratch,
                     esc.shave_frac,
                     esc.shave_passes,
-                    None,
                     |axis, high_face, bound| {
                         if let Some(ev) = events.as_deref_mut() {
                             ev.push(TraceEvent::Shave {

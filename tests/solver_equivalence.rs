@@ -25,14 +25,19 @@
 //!   spin pairs, plus three formulas whose partial operations straddle
 //!   their domains: the solver's HC4 contraction, which skips the inverse
 //!   rules of clean slots, equals the certificate checker's replica, which
-//!   runs every rule — the outcome and the whole slot file, bit for bit.
+//!   runs every rule — the outcome and the whole slot file, bit for bit;
+//! * proptest over the same inputs: every node of a short traced search,
+//!   ladder off and on, which evaluates a child from its parent's forward
+//!   image, contracts exactly as the checker's replica does from a full
+//!   forward pass, and its recorded Newton step and shaves repeat on that
+//!   box with a fresh scratch.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use xcv_bench::seed_baseline::seed_solve_with_stats;
 use xcverifier::prelude::*;
 use xcverifier::solver::contract::Contraction;
-use xcverifier::solver::{CompiledFormula, SolveScratch};
+use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, TraceEvent};
 
 // ---------------------------------------------------------------------------
 // Random formula generation (compact variant of tests/proptests.rs)
@@ -436,6 +441,111 @@ fn bits(vals: &[Interval]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// Each atom's root slot in the shared tape and its relation's allowed set,
+/// as `xcv_cert::contract` takes them.
+fn root_constraints(compiled: &CompiledFormula) -> Vec<(usize, Interval)> {
+    let tape = compiled.interval_tape();
+    compiled
+        .atom_rels()
+        .iter()
+        .enumerate()
+        .map(|(i, rel)| (tape.root_slot(i) as usize, rel.allowed()))
+        .collect()
+}
+
+/// Reruns one node of a traced search from scratch and checks its events.
+/// The checker's replica contracts `popped` from a full forward pass; the
+/// node's recorded Newton step and shaves are rerun on that box with a
+/// fresh scratch (`newton_contract` and `shave_3b` run full passes of their
+/// own, so only the search's HC4 reads a forward image). A pruned node must
+/// contract to empty, the Newton step and the shaves must repeat bit for
+/// bit, a split's recorded box must equal the replayed one, and a δ-SAT
+/// model must be its midpoint. Returns the boxes a split pushes, in order.
+fn replay_node(
+    compiled: &CompiledFormula,
+    esc: Escalation,
+    popped: &BoxDomain,
+    node: &[&TraceEvent],
+    what: &str,
+    fresh: &mut SolveScratch,
+    vals: &mut Vec<Interval>,
+) -> Result<Vec<BoxDomain>, TestCaseError> {
+    let (terminal, mut steps) = node.split_last().expect("a node without events");
+    let (tape, atoms) = (compiled.interval_tape(), root_constraints(compiled));
+    let rounds = compiled.max_rounds();
+    let Some(w) = xcverifier::cert::contract(tape, &atoms, rounds, popped.dims(), vals) else {
+        prop_assert!(
+            matches!(node, [TraceEvent::Pruned]),
+            "{what} contracts to empty, searched {node:?}"
+        );
+        return Ok(Vec::new());
+    };
+    let mut cur = BoxDomain::new(w);
+    if let [TraceEvent::Newton { contracted }, rest @ ..] = steps {
+        let want = compiled.newton_contract(&cur, esc.newton_sweeps, fresh);
+        prop_assert!(
+            want.map(|w| bits(w.dims())) == Some(bits(contracted.dims())),
+            "Newton step of {what}: {contracted}"
+        );
+        cur = contracted.clone();
+        steps = rest;
+    }
+    if !steps.is_empty() {
+        let mut want = Vec::new();
+        let shaved = compiled.shave_3b(&cur, fresh, esc.shave_frac, esc.shave_passes, |a, h, s| {
+            want.push(Some((a, h, s.to_bits())))
+        });
+        let got: Vec<_> = steps
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Shave {
+                    axis,
+                    high_face,
+                    bound,
+                } => Some((*axis, *high_face, bound.to_bits())),
+                _ => None,
+            })
+            .collect();
+        prop_assert!(got == want, "shaves of {what}: {steps:?}");
+        cur = shaved.expect("recorded shaves narrow the box");
+    }
+    let key = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    match terminal {
+        TraceEvent::Split {
+            contracted,
+            axis,
+            low_first,
+        } => {
+            prop_assert!(
+                bits(contracted.dims()) == bits(cur.dims()),
+                "split box of {what}: {contracted} vs {cur}"
+            );
+            let (l, r) = contracted.bisect_dim(*axis as usize);
+            Ok(if *low_first { vec![r, l] } else { vec![l, r] })
+        }
+        TraceEvent::Sat { model } => {
+            prop_assert!(
+                key(model) == key(&cur.midpoint()),
+                "model of {what}: {model:?}"
+            );
+            Ok(Vec::new())
+        }
+        TraceEvent::NewtonPruned => {
+            prop_assert!(
+                compiled
+                    .newton_contract(&cur, esc.newton_sweeps, fresh)
+                    .is_none(),
+                "Newton prune of {what}"
+            );
+            Ok(Vec::new())
+        }
+        _ => {
+            prop_assert!(false, "{what} contracts to {cur}, searched {node:?}");
+            Ok(Vec::new())
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -452,12 +562,7 @@ proptest! {
         let mut vals = Vec::new();
         for ((name, compiled, _), b) in differential_inputs().iter().zip(&boxes) {
             let tape = compiled.interval_tape();
-            let atoms: Vec<(usize, Interval)> = compiled
-                .atom_rels()
-                .iter()
-                .enumerate()
-                .map(|(i, rel)| (tape.root_slot(i) as usize, rel.allowed()))
-                .collect();
+            let atoms = root_constraints(compiled);
             for rounds in 1..=compiled.max_rounds() {
                 let what = format!("{name} over {b}, {rounds} round(s)");
                 let got = compiled.contract_with_rounds(b, &mut scratch, rounds);
@@ -475,6 +580,40 @@ proptest! {
                     bits(scratch.slot_file()) == bits(&vals),
                     "slot file of {what}"
                 );
+            }
+        }
+    }
+
+    /// The search evaluates a child node from its parent's forward image,
+    /// recomputing only the cones of the axes where the child differs from
+    /// that image's box: the split axis, and every axis that HC4, Newton or
+    /// the shaver narrowed in the parent's step. Replaying the stack of a
+    /// short traced search, ladder off and on, every node is rerun from
+    /// scratch by [`replay_node`]. A mask of the split axis alone fails
+    /// here: a child also differs on every axis HC4 contracted.
+    #[test]
+    fn every_search_node_matches_a_fresh_contraction(boxes in SubBoxes) {
+        let mut scratch = SolveScratch::new();
+        let mut fresh = SolveScratch::new();
+        let mut vals = Vec::new();
+        for esc in [Escalation::off(), Escalation::full()] {
+            let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(64)).with_escalation(esc);
+            for ((name, compiled, _), b) in differential_inputs().iter().zip(&boxes) {
+                let (_, _, trace) = solver.solve_compiled_traced(b, compiled, &mut scratch);
+                let mut stack = vec![b.clone()];
+                let mut node = Vec::new();
+                for event in &trace.events {
+                    node.push(event);
+                    if matches!(event, TraceEvent::Newton { .. } | TraceEvent::Shave { .. }) {
+                        continue;
+                    }
+                    let popped = stack.pop().expect("an event without a box");
+                    let what = format!("{name}, ladder rung {}, over {popped}", esc.max_rung);
+                    let children =
+                        replay_node(compiled, esc, &popped, &node, &what, &mut fresh, &mut vals)?;
+                    stack.extend(children);
+                    node.clear();
+                }
             }
         }
     }

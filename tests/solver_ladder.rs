@@ -8,10 +8,14 @@
 //!   containing it;
 //! * **dirty-slot passes** (proptest): the partial forward passes the 3B
 //!   shaver probes slabs with (`forward_from`, `forward_masked`), seeded
-//!   with the parent box's slot file, equal a full `forward` bit for bit;
-//! * **session reuse** (proptest): a ladder-armed solve on a scratch that
-//!   other formulas and boxes already used equals the same solve on a
-//!   fresh scratch — same outcome, same model, same statistics;
+//!   with the parent box's slot file, and the image-seeded pass the search
+//!   evaluates every child node with (`forward_from_image`), equal a full
+//!   `forward` bit for bit;
+//! * **session reuse** (proptest): a solve, ladder off or on, on a
+//!   scratch that another formula already used — an independent one, and
+//!   a larger one, their slot files and per-depth forward images left
+//!   behind — equals the same solve on a fresh scratch: same outcome, same
+//!   model, same statistics, same trace;
 //! * **pinned matrices**: the 45-pair extended and 66-pair ζ-resolved
 //!   matrices verified with and without the ladder. The ladder runs as a
 //!   retry on timed-out boxes, so every table mark must be unchanged or
@@ -81,6 +85,61 @@ fn build(r: &Recipe) -> Expr {
     }
 }
 
+/// A value for an interval bound: an exact 0, or anything in (−4, 4).
+fn bound(rng: &mut TestRng) -> f64 {
+    if rng.below(6) == 0 {
+        0.0
+    } else {
+        8.0 * rng.unit_f64() - 4.0
+    }
+}
+
+/// One random box axis: a general interval, a point, a signed zero (alone
+/// or as one bound), half-infinite, or `ENTIRE`.
+fn random_axis(rng: &mut TestRng) -> Interval {
+    let (a, b) = (bound(rng), bound(rng));
+    let zero = if rng.below(2) == 0 { -0.0 } else { 0.0 };
+    match rng.below(8) {
+        0 => Interval::point(a),
+        1 => Interval::point(zero),
+        2 => Interval::new(zero, b.abs()),
+        3 => Interval::new(-a.abs(), zero),
+        4 => Interval::new(a, f64::INFINITY),
+        5 => Interval::new(f64::NEG_INFINITY, a),
+        6 => Interval::ENTIRE,
+        _ => Interval::new(a.min(b), a.max(b)),
+    }
+}
+
+/// A parent box and a child box for the image-seeded forward pass, of 2 or
+/// 3 axes each (a recipe's variable 2 is then beyond the box, or only
+/// beyond one of the two). The child keeps each parent axis bit for bit,
+/// flips the sign of its zero bounds, or draws it afresh, so the two
+/// differ on any subset of axes.
+struct ImagePair;
+
+impl Strategy for ImagePair {
+    type Value = (Vec<Interval>, Vec<Interval>);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let parent: Vec<Interval> = (0..2 + rng.below(2)).map(|_| random_axis(rng)).collect();
+        let flip = |x: f64| if x == 0.0 { -x } else { x };
+        let child = (0..2 + rng.below(2))
+            .map(|k| match (parent.get(k), rng.below(3)) {
+                (Some(&p), 0) => p,
+                (Some(&p), 1) => Interval::new(flip(p.lo), flip(p.hi)),
+                _ => random_axis(rng),
+            })
+            .collect();
+        (parent, child)
+    }
+}
+
+fn bits(vals: &[Interval]) -> Vec<(u64, u64)> {
+    vals.iter()
+        .map(|v| (v.lo.to_bits(), v.hi.to_bits()))
+        .collect()
+}
+
 fn contains(b: &BoxDomain, point: &[f64]) -> bool {
     b.dims()
         .iter()
@@ -139,7 +198,7 @@ proptest! {
             "Newton contracted a certified solution away"
         );
         // Rung 2 must not shave the point off any face.
-        if let Some(shaved) = compiled.shave_3b(&b, &mut scratch, 0.125, 2, None, |_, _, _| {}) {
+        if let Some(shaved) = compiled.shave_3b(&b, &mut scratch, 0.125, 2, |_, _, _| {}) {
             prop_assert!(contains(&shaved, &point), "3B shaved a certified solution off");
         }
         // The assembled ladder: never Unsat over a certified solution.
@@ -153,10 +212,13 @@ proptest! {
         );
     }
 
-    /// The shaver's dirty-slot passes: a box that differs from its parent
-    /// along one axis (`forward_from`) or two (`forward_masked`),
-    /// re-evaluated over the parent's slot file, gets exactly the slot
-    /// values of a full forward pass.
+    /// The dirty-slot passes: a box that differs from its parent along one
+    /// axis (`forward_from`) or two (`forward_masked`), re-evaluated over
+    /// the parent's slot file, gets exactly the slot values of a full
+    /// forward pass, bit for bit. So does the search's image-seeded pass
+    /// (`forward_from_image`), for a child that differs from the parent on
+    /// any subset of axes; bounds compare by bits there, so a pass that
+    /// took −0.0 for +0.0 would keep a slot whose sign of zero changed.
     #[test]
     fn dirty_forward_passes_match_full_forward(
         recipe in recipe_strategy(),
@@ -164,6 +226,7 @@ proptest! {
         w in (0.1f64..2.0, 0.1f64..2.0, 0.1f64..2.0),
         axes in (0u32..3, 0u32..3),
         side in 0u8..2,
+        image_pair in ImagePair,
     ) {
         let tape = IntervalTape::compile(&[build(&recipe)]);
         let parent = vec![
@@ -186,22 +249,34 @@ proptest! {
         let mut dirty = parent_vals.clone();
         tape.forward_from(axes.0, &one, &mut dirty);
         tape.forward(&one, &mut full);
-        for i in 0..tape.len() {
-            prop_assert_eq!(dirty[i], full[i], "forward_from: slot {} along {}", i, axes.0);
-        }
+        prop_assert!(bits(&dirty) == bits(&full), "forward_from along {}", axes.0);
 
         let mut dirty = parent_vals.clone();
         tape.forward_masked((1 << axes.0) | (1 << axes.1), &two, &mut dirty);
         tape.forward(&two, &mut full);
-        for i in 0..tape.len() {
-            prop_assert_eq!(dirty[i], full[i], "forward_masked: slot {} along {:?}", i, axes);
-        }
+        prop_assert!(bits(&dirty) == bits(&full), "forward_masked along {:?}", axes);
+
+        let (parent, child) = image_pair;
+        tape.forward(&parent, &mut parent_vals);
+        let mut seeded = tape.scratch();
+        tape.forward_from_image(&parent_vals, &child, &mut seeded);
+        tape.forward(&child, &mut full);
+        prop_assert!(
+            bits(&seeded) == bits(&full),
+            "forward_from_image from {:?} to {:?}: {:?} vs {:?}",
+            parent, child, seeded, full
+        );
     }
 
-    /// Session reuse with the ladder armed: the Newton and 3B rungs keep
-    /// their slot files in the scratch, so a scratch that solved another
-    /// formula first must still give the fresh-scratch outcome, model and
-    /// statistics.
+    /// Session reuse: the Newton and 3B rungs keep their slot files in the
+    /// scratch, and the search keeps one forward image per depth there,
+    /// evaluating a child from the image one level up. A scratch that
+    /// first solved another formula must give the fresh scratch's outcome,
+    /// model, statistics and trace, ladder off or on. Two decoys run
+    /// first: an independent random formula, which may be smaller or
+    /// larger, and a larger one that contains the solved formula — a
+    /// longer tape, images at many depths — so the root must run a full
+    /// pass and never read an image the previous search left.
     #[test]
     fn ladder_solve_on_reused_scratch_matches_fresh_scratch(
         recipe in recipe_strategy(),
@@ -210,28 +285,43 @@ proptest! {
         band in 0.05f64..0.5,
         budget in 0u8..3,
     ) {
-        let compiled = CompiledFormula::compile(&band_formula(build(&recipe), lo, band));
-        let decoy = CompiledFormula::compile(&band_formula(build(&other), -lo, band));
+        let small = build(&recipe);
+        let compiled = CompiledFormula::compile(&band_formula(small.clone(), lo, band));
+        let independent = CompiledFormula::compile(&band_formula(build(&other), -lo, band));
+        let large = small * build(&other).exp() + var(0) * var(1) * var(2);
+        let larger = CompiledFormula::compile(&band_formula(large, -lo, band));
+        let mut decoys = vec![("independent", &independent)];
+        if larger.interval_slots() > compiled.interval_slots() {
+            decoys.push(("larger", &larger));
+        }
         let nodes = [30u64, 400, 5_000][budget as usize];
-        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(nodes))
-            .with_escalation(Escalation::full());
         let boxes = [
             BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)]),
             BoxDomain::from_bounds(&[(0.0, 0.5), (-1.0, 0.0), (0.2, 0.9)]),
         ];
         let mut reused = SolveScratch::new();
-        for b in &boxes {
-            let (want, want_stats) =
-                solver.solve_compiled_with_stats(b, &compiled, &mut SolveScratch::new());
-            solver.solve_compiled_with_stats(b, &decoy, &mut reused);
-            let (got, got_stats) = solver.solve_compiled_with_stats(b, &compiled, &mut reused);
-            prop_assert_eq!(&want, &got, "reused scratch diverged over {}", b);
-            prop_assert_eq!(
-                stats_key(&want_stats),
-                stats_key(&got_stats),
-                "reused scratch changed the search over {}",
-                b
-            );
+        for escalation in [Escalation::off(), Escalation::full()] {
+            let solver =
+                DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)).with_escalation(escalation);
+            for b in &boxes {
+                let (want, want_stats, want_trace) =
+                    solver.solve_compiled_traced(b, &compiled, &mut SolveScratch::new());
+                for (kind, decoy) in &decoys {
+                    solver.solve_compiled_traced(b, decoy, &mut reused);
+                    let (got, got_stats, got_trace) =
+                        solver.solve_compiled_traced(b, &compiled, &mut reused);
+                    let what =
+                        format!("after the {kind} decoy over {b}, ladder rung {}", escalation.max_rung);
+                    prop_assert_eq!(&want, &got, "reused scratch diverged {}", what);
+                    prop_assert_eq!(
+                        stats_key(&want_stats),
+                        stats_key(&got_stats),
+                        "reused scratch changed the search {}",
+                        what
+                    );
+                    prop_assert!(want_trace.events == got_trace.events, "trace {}", what);
+                }
+            }
         }
     }
 }
