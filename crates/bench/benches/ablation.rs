@@ -1,13 +1,14 @@
-//! B-ablate: design-choice ablations called out in DESIGN.md —
-//! domain-splitting on/off, HC4 contraction rounds, sequential vs rayon
-//! recursion.
+//! B-ablate: design-choice ablations — domain-splitting on/off, HC4
+//! contraction rounds, sequential vs rayon recursion. The first-order
+//! (mean-value) contractor runs only as the escalation ladder's rung-1
+//! Newton, which `solver_bench --extended`'s ladder mode measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use xcv_conditions::Condition;
 use xcv_core::{Encoder, Verifier, VerifierConfig};
 use xcv_functionals::Dfa;
-use xcv_solver::{contract::Hc4, BoxDomain, DeltaSolver, SolveBudget};
+use xcv_solver::{BoxDomain, CompiledFormula, DeltaSolver, SolveBudget, SolveScratch};
 
 /// Domain splitting on/off: with splitting disabled the verifier makes a
 /// single solver call on the whole domain (the paper reports dReal timing out
@@ -54,9 +55,9 @@ fn bench_hc4_rounds(c: &mut Criterion) {
     for rounds in [1usize, 3, 6] {
         g.bench_function(format!("rounds_{rounds}"), |b| {
             b.iter(|| {
-                let mut hc4 = Hc4::new(black_box(problem.negation()));
-                hc4.max_rounds = rounds;
-                black_box(hc4.contract(black_box(&b0)))
+                let compiled = CompiledFormula::compile(black_box(problem.negation()));
+                let mut scratch = SolveScratch::new();
+                black_box(compiled.contract_with_rounds(black_box(&b0), &mut scratch, rounds))
             })
         });
     }
@@ -82,28 +83,10 @@ fn bench_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-/// HC4 alone vs HC4 + mean-value-form pruning (the solver's optional second
-/// contractor).
-fn bench_mean_value(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_mean_value");
-    g.sample_size(10);
-    let problem = Encoder::encode(Dfa::Pbe, Condition::EcNonPositivity).unwrap();
-    // A sub-domain away from the ε_c → 0 margins so both variants decide.
-    let dom = BoxDomain::from_bounds(&[(1.0, 5.0), (0.0, 2.0)]);
-    for (name, mv) in [("hc4_only", false), ("hc4_plus_mv", true)] {
-        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(400_000)).with_mean_value(mv);
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(solver.solve(black_box(&dom), problem.negation())))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_domain_splitting,
     bench_hc4_rounds,
-    bench_parallel,
-    bench_mean_value
+    bench_parallel
 );
 criterion_main!(benches);

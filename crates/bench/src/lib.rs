@@ -9,7 +9,6 @@ pub mod seed_baseline;
 
 pub use xcv_core::presets::{config_for, repro_config, repro_verifier, verifier_for};
 
-use xcv_core::Verifier;
 use xcv_grid::GridConfig;
 
 /// Grid preset for reproduction runs (the paper meshes 10⁵ samples per axis;
@@ -25,9 +24,4 @@ pub fn default_grid() -> GridConfig {
         n_zeta: 9,
         tol: 1e-9,
     }
-}
-
-/// Fast verifier for Criterion timing loops.
-pub fn bench_verifier() -> Verifier {
-    repro_verifier(50, 1.25, 3)
 }

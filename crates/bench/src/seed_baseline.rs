@@ -264,7 +264,10 @@ impl SeedHc4 {
                         } else if x >= 1.0 {
                             f64::INFINITY
                         } else {
-                            let v = 0.5 * ((1.0 + x) / (1.0 - x)).ln();
+                            // The tape rule's `atanh`, so the equivalence
+                            // tests compare the architectures, not two
+                            // roundings of one inverse.
+                            let v = x.abs().atanh().copysign(x);
                             if up {
                                 round::libm_hi(v)
                             } else {
@@ -421,8 +424,8 @@ fn improvement(before: &BoxDomain, after: &BoxDomain) -> f64 {
     best
 }
 
-/// The seed `DeltaSolver::solve_with_stats` (mean-value path omitted — the
-/// benchmarks run with it disabled): contractor rebuilt per call, branch
+/// The seed `DeltaSolver::solve_with_stats` (its mean-value path omitted —
+/// the solver has no such option): contractor rebuilt per call, branch
 /// scoring through the recursive memoizing evaluator.
 pub fn seed_solve_with_stats(
     solver: &DeltaSolver,

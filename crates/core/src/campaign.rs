@@ -395,7 +395,7 @@ type EventCallback = Arc<dyn Fn(&CampaignEvent) + Send + Sync>;
 type ConfigPolicy =
     Arc<dyn Fn(&dyn xcv_functionals::Functional, Condition) -> VerifierConfig + Send + Sync>;
 
-/// Builder for [`Campaign`]; see the [module documentation](self).
+/// Builder for [`Campaign`]; see the [crate documentation](crate).
 pub struct CampaignBuilder {
     functionals: Vec<FunctionalHandle>,
     conditions: Vec<Condition>,

@@ -2,15 +2,15 @@
 //! [`xcv_cert::Certificate`] that the independent `xcvcheck` replayer can
 //! audit without any of this crate's (or the solver's) search code.
 //!
-//! Emission is conservative: a certificate is attached only when the run is
-//! actually replayable — HC4 contraction, optionally with the
-//! escalation ladder (Newton steps replay through the shared driver over
-//! gradient programs the certificate carries; 3B shaves are re-proven from
-//! the main tape), but never the mean-value contractor, whose pruning is
-//! not re-derivable from the tape alone — complete traces on every
-//! verified leaf, no cancelled regions — and only after this module has
-//! *already replayed it once* through [`xcv_cert::check`]. A pair that cannot be
-//! certified simply carries `None`; it never blocks the campaign.
+//! Every solver configuration is replayable: HC4 contraction re-runs over
+//! the main tape, and the escalation ladder's Newton steps replay through
+//! the shared driver over gradient programs the certificate carries (3B
+//! shaves are re-proven from the main tape). Emission is still
+//! conservative about the *run*: a certificate is attached only with
+//! complete traces on every verified leaf and no cancelled regions, and
+//! only after this module has *already replayed it once* through
+//! [`xcv_cert::check`]. A pair that cannot be certified simply carries
+//! `None`; it never blocks the campaign.
 
 use crate::encoder::EncodedProblem;
 use crate::region::RegionStatus;
@@ -34,11 +34,6 @@ pub fn build_certificate(
     config: &VerifierConfig,
     out: &RunOutput,
 ) -> Option<Certificate> {
-    // Mean-value contraction consults derivative tapes the certificate does
-    // not carry; such traces cannot be replayed by the tape-only checker.
-    if config.solver.mean_value {
-        return None;
-    }
     if out.map.regions.len() != out.details.len() {
         return None;
     }
@@ -50,7 +45,7 @@ pub fn build_certificate(
         let verdict = match &region.status {
             RegionStatus::Verified => {
                 let trace = detail.trace.as_ref()?;
-                if !trace.complete || trace.used_mean_value {
+                if !trace.complete {
                     return None;
                 }
                 let mut events = Vec::with_capacity(trace.events.len());
@@ -109,9 +104,9 @@ pub fn build_certificate(
         });
     }
     let compiled = problem.compiled();
-    // Ladder traces carry the gradient programs (built by the same
-    // mean-value lowering the solver's rung 1 ran on) so the checker can
-    // replay Newton steps through the shared driver.
+    // Ladder traces carry the gradient programs (the very programs the
+    // solver's rung 1 ran on) so the checker can replay Newton steps
+    // through the shared driver.
     let newton = ladder.then(|| xcv_cert::NewtonSection {
         sweeps: config.solver.escalation.newton_sweeps,
         atoms: compiled

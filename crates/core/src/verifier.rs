@@ -67,18 +67,28 @@ impl VerifierConfig {
     /// without changing any region or mark, and a memoized result must
     /// stay valid across machines with different core counts.
     pub fn fingerprint(&self) -> u64 {
+        // Destructured without `..`: a new field does not compile until it
+        // is hashed here or named below as one that cannot change a mark.
+        let VerifierConfig {
+            split_threshold,
+            solver,
+            parallel: _,
+            parallel_depth: _,
+            max_depth,
+            pair_deadline_ms,
+        } = self;
         let mut h = crate::cache::fnv1a_str("xcv-verifier-config/v1");
         let mut eat = |v: u64| h = crate::cache::fnv1a(h, &v.to_le_bytes());
-        eat(self.split_threshold.to_bits());
-        eat(self.max_depth.into());
-        match self.pair_deadline_ms {
+        eat(split_threshold.to_bits());
+        eat((*max_depth).into());
+        match *pair_deadline_ms {
             None => eat(u64::MAX),
             Some(ms) => {
                 eat(0);
                 eat(ms);
             }
         }
-        eat(self.solver.fingerprint());
+        eat(solver.fingerprint());
         h
     }
 }
@@ -136,28 +146,14 @@ impl Verifier {
 
     /// Verify an encoded problem over its own PB domain.
     pub fn verify(&self, problem: &EncodedProblem) -> RegionMap {
-        self.verify_on(&problem.domain, problem)
-    }
-
-    /// Verify an encoded problem over a caller-supplied domain.
-    pub fn verify_on(&self, domain: &BoxDomain, problem: &EncodedProblem) -> RegionMap {
-        self.verify_on_with_stats(domain, problem).0
+        self.verify_with_stats(problem).0
     }
 
     /// [`Verifier::verify`] returning the solver statistics aggregated over
     /// the whole box tree (nodes explored, prunes, branches, max depth) —
     /// the raw material for throughput reporting.
     pub fn verify_with_stats(&self, problem: &EncodedProblem) -> (RegionMap, SolveStats) {
-        self.verify_on_with_stats(&problem.domain, problem)
-    }
-
-    /// [`Verifier::verify_on`] with aggregated solver statistics.
-    pub fn verify_on_with_stats(
-        &self,
-        domain: &BoxDomain,
-        problem: &EncodedProblem,
-    ) -> (RegionMap, SolveStats) {
-        let out = self.verify_run(domain, problem, &RunOptions::default());
+        let out = self.verify_run(&problem.domain, problem, &RunOptions::default());
         (out.map, out.stats)
     }
 
@@ -325,6 +321,33 @@ mod tests {
             max_depth: 6,
             pair_deadline_ms: None,
         })
+    }
+
+    #[test]
+    fn fingerprint_covers_exactly_the_mark_changing_fields() {
+        let base = quick_verifier(800).config;
+        let fp = base.fingerprint();
+        // The parallelism knobs only re-order work, so they must not move
+        // the fingerprint.
+        type Change = (&'static str, bool, fn(&mut VerifierConfig));
+        let changes: [Change; 6] = [
+            ("split_threshold", true, |c| c.split_threshold = 0.3),
+            ("max_depth", true, |c| c.max_depth = 7),
+            ("pair_deadline_ms", true, |c| c.pair_deadline_ms = Some(400)),
+            ("solver", true, |c| c.solver.delta = 2e-3),
+            ("parallel", false, |c| c.parallel = !c.parallel),
+            ("parallel_depth", false, |c| c.parallel_depth = 5),
+        ];
+        for (field, hashed, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            assert_eq!(changed.fingerprint() != fp, hashed, "{field}");
+        }
+        let deadline = |ms| VerifierConfig {
+            pair_deadline_ms: Some(ms),
+            ..base.clone()
+        };
+        assert_ne!(deadline(400).fingerprint(), deadline(401).fingerprint());
     }
 
     #[test]

@@ -50,10 +50,10 @@
 //! Partial operations (`div`, `pow`, `ln`, `sqrt`, `lambertw`, `ite`,
 //! `powi` with n ≤ 0) always run, because they clip a child to their domain
 //! even from an unnarrowed parent: `sqrt` over [−1, 4] narrows its child to
-//! [0, 4]. So do `tanh` and the other positive powers: they are total, but
-//! their rules round more loosely than their slop covers and can narrow a
-//! child below its own image. The emptiness test runs on every slot, skipped
-//! or not: an empty slot in an unselected `ite` branch proves the box empty.
+//! [0, 4]. So do `tanh` and the other positive powers, which are total but
+//! not on the list (`total` gives the reason). The emptiness test runs on
+//! every slot, skipped or not: an empty slot in an unselected `ite` branch
+//! proves the box empty.
 //! A caller that sets every flag before the sweep runs every rule.
 //!
 //! Slot files are **write-before-read**: every pass overwrites each slot it
@@ -104,7 +104,7 @@ pub struct IntervalTape {
 impl IntervalTape {
     /// Lower the merged DAG of `roots` into a flat program. Nodes shared
     /// between roots are lowered once. The lowering itself is
-    /// [`crate::eval::lower_dag`], shared with the f64 [`crate::Tape`].
+    /// `eval::lower_dag`, shared with the f64 [`crate::Tape`].
     pub fn compile(roots: &[Expr]) -> IntervalTape {
         let mut lowered = lower_dag(roots);
         // Fold constant-only subtrees into their (outward-rounded) interval
@@ -543,10 +543,13 @@ impl IntervalTape {
 /// is (the `clean_slot_inverse_rules_change_nothing` property). The partial
 /// operations clip a child to their domain even from an unnarrowed parent.
 /// `tanh` and `powi` with an exponent n > 0 that is not a power of two are
-/// total, but their rules lose more than their rounding slop (`atanh` as
-/// `ln((1 + x)/(1 − x))`, the n-th root as `powf` with a rounded `1/n`) and
-/// can narrow a child below its own image; they always run too, so the
-/// sweep stays the full sweep.
+/// total, but they always run too. For n = 5, 6 and 7 the root is still
+/// `powf` with a rounded `1/n`, which loses more than its slop and can
+/// narrow a child below its own image. `tanh`'s rule (std's `atanh` taken
+/// at |x|, its sign restored) and the cube root (libm's `cbrt`) round
+/// within their slop and pass that property when listed, but listing them
+/// changes which rules the sweep runs: a performance change, to be
+/// measured on its own.
 fn total(instr: Instr) -> bool {
     match instr {
         Instr::Const(_)
@@ -703,7 +706,12 @@ fn backward_step(i: u32, instr: Instr, vals: &mut [Interval], dirty: &mut [bool]
                     } else if x >= 1.0 {
                         f64::INFINITY
                     } else {
-                        let v = 0.5 * ((1.0 + x) / (1.0 - x)).ln();
+                        // std's `atanh` is `ln_1p(2x/(1 − x))/2`, whose
+                        // argument cancels against 1 near x = −1. At |x|
+                        // the argument is ≥ 0, and the rule stays within
+                        // the slop at both ends (`ln((1 + x)/(1 − x))`
+                        // would cancel near 0).
+                        let v = x.abs().atanh().copysign(x);
                         if up {
                             round::libm_hi(v)
                         } else {

@@ -15,7 +15,7 @@
 //! * functionals describe their inputs with `Functional::var_space`;
 //! * the condition encoder builds the search [`VarSpace::pb_box`] from it
 //!   (what `pb_domain` used to derive from `arity() >= k` thresholds);
-//! * the solver's compiled formulas carry it so mean-value gradients and
+//! * the solver's compiled formulas carry it so Newton gradients and
 //!   witnesses are axis-indexed;
 //! * the grid baseline meshes any space — ζ and per-spin axes included —
 //!   instead of a hard-coded `rs × s` plane.

@@ -19,9 +19,9 @@ use crate::Interval;
 /// Is a gradient range usable as a Gauss–Seidel pivot? Ranges that straddle
 /// zero (other than the exact point `[0, 0]`… which is also unusable, but is
 /// excluded by the `contains` check below yielding `true`) cannot bound the
-/// row solve. Mirrors the mean-value contractor's skip rule: a non-point
-/// interval containing zero is rejected; a *point* gradient is handed to the
-/// extended division, which returns the whole line (harmless) or empty.
+/// row solve: a non-point interval containing zero is rejected; a *point*
+/// gradient is handed to the extended division, which returns the whole
+/// line (harmless) or empty.
 #[inline]
 pub fn grad_usable(grad: &Interval) -> bool {
     !grad.contains(0.0) || grad.is_point()

@@ -8,7 +8,7 @@
 //! only property soundness needs — is preserved.
 //!
 //! The ULP step is implemented branch-free: a float's bit pattern is mapped
-//! through an order-preserving integer transform ([`to_ordered`]), stepped by
+//! through an order-preserving integer transform (`to_ordered`), stepped by
 //! integer add/sub, and mapped back. The only data-dependent constructs left
 //! are boolean selects (NaN / directed-infinity fixed points and the ±0.0
 //! skip), which LLVM lowers to `cmov`/blend rather than branches. The

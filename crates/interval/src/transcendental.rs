@@ -158,7 +158,9 @@ impl Interval {
 
     /// Enclosure of `x^(1/n)` for positive integer `n` on `x >= 0` (used in
     /// backward contraction of `powi`). For odd `n` the domain extends to
-    /// negatives via odd symmetry.
+    /// negatives via odd symmetry. The cube root is libm's `cbrt`, within
+    /// [`crate::round::LIBM_SLOP_ULPS`]; other roots take `powf` with the
+    /// rounded exponent `1/n`, whose error that slop does not always cover.
     pub fn nth_root(&self, n: i32) -> Interval {
         assert!(n > 0);
         if self.is_empty() {
@@ -173,6 +175,8 @@ impl Interval {
                 f64::INFINITY
             } else if x == f64::NEG_INFINITY {
                 f64::NEG_INFINITY
+            } else if n == 3 {
+                x.cbrt()
             } else if x >= 0.0 {
                 x.powf(1.0 / n as f64)
             } else {

@@ -46,11 +46,13 @@
 //!   δ, budget, split threshold, depth cap, and deadline — but *not* the
 //!   parallelism knobs, which cannot change marks.
 //!
-//! A fingerprint changes whenever its hashed field list does: the solver
-//! fingerprint no longer hashes a batch width (the solver has one search
-//! engine), so every result a store persisted before that change misses
-//! once and is recomputed under its new key. An old file is never served
-//! for a new key.
+//! A fingerprint changes whenever its hashed field list does. The solver
+//! fingerprint has lost two hashed fields so far: the batch width (the
+//! solver has one search engine) and the rung-0 mean-value switch (its
+//! first-order math runs only as the ladder's rung-1 Newton). After each
+//! removal every result a store persisted before it misses once and is
+//! recomputed under its new key. An old file is never served for a new
+//! key.
 //!
 //! ## Operations & failure modes
 //!

@@ -6,8 +6,9 @@
 //! A pair's verification outcome is fully determined by its
 //! [`ResultKey`]: the level-1 [`ProblemKey`] (functional source hash,
 //! condition id, variable-space fingerprint) extended with the solver
-//! configuration fingerprint ([`VerifierConfig::fingerprint`] ⊕
-//! [`DeltaSolver::fingerprint`], both FNV-1a over exact bit patterns).
+//! configuration fingerprint ([`xcv_core::VerifierConfig::fingerprint`]
+//! ⊕ [`xcv_solver::DeltaSolver::fingerprint`], both FNV-1a over exact bit
+//! patterns).
 //! The store memoizes the [`StoredResult`] summary — mark, witnesses,
 //! wall time, region-status census — under that key, so a warm repeat
 //! answers without touching the solver at all.

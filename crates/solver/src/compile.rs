@@ -3,18 +3,18 @@
 //! branch-and-prune search and the verifier recursion visit.
 //!
 //! The seed architecture rebuilt the HC4 contractor (topo sort, `HashMap`
-//! slot maps, op lowering) and — with the mean-value test enabled — re-ran
-//! full symbolic differentiation on **every** `solve` call, i.e. on every
-//! sub-box of the verifier's recursion. [`CompiledFormula`] hoists all of
-//! that to a single compilation step:
+//! slot maps, op lowering) on **every** `solve` call, i.e. on every sub-box
+//! of the verifier's recursion. [`CompiledFormula`] hoists all of that to a
+//! single compilation step:
 //!
 //! * one [`IntervalTape`] over every atom's expression (shared subterms
 //!   lowered once) drives both the forward interval pass and the in-place
 //!   HC4 backward contraction;
 //! * one f64 [`Tape`] per atom drives midpoint model checks and branch
 //!   scoring without touching the DAG or allocating memo maps;
-//! * the mean-value gradients (symbolic differentiation per atom × variable)
-//!   are materialized lazily, once, behind a `OnceLock`.
+//! * the gradient program of the rung-1 Newton contractor (symbolic
+//!   differentiation per atom × variable) is materialized lazily, once,
+//!   behind a `OnceLock`; certificate emission serializes the same program.
 //!
 //! All per-box mutable state lives in a caller-owned [`SolveScratch`], so a
 //! `CompiledFormula` is `Send + Sync` and one instance serves the whole box
@@ -29,13 +29,13 @@ use xcv_expr::{IntervalTape, Tape, VarSpace};
 use xcv_interval::Interval;
 
 /// Global count of compilations — formulas, atoms, and lazily-built
-/// mean-value gradient programs — for the compile-once tests: solving N
-/// boxes against one [`CompiledFormula`] must not move it.
+/// Newton gradient programs — for the compile-once tests: solving N boxes
+/// against one [`CompiledFormula`] must not move it.
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// Number of tape compilations performed so far, process-wide. Incremented
 /// by [`CompiledFormula::compile`], [`CompiledAtom::compile`], and the
-/// once-per-formula mean-value gradient build; tests assert it stays flat
+/// once-per-formula Newton gradient build; tests assert it stays flat
 /// across per-box solving.
 pub fn compile_count() -> u64 {
     COMPILE_COUNT.load(Ordering::Relaxed)
@@ -98,30 +98,23 @@ struct FormulaAtom {
     allowed: Interval,
 }
 
-/// Lazily-built mean-value data: per atom, one interval tape over
-/// `[g, ∂g/∂axis…]` with the gradient roots *axis-indexed*.
+/// One atom of the rung-1 Newton contractor's gradient program, built
+/// lazily: an interval tape over `[g, ∂g/∂axis…]`.
 #[derive(Debug)]
-struct MvAtom {
+struct GradientAtom {
     rel: Rel,
     itape: IntervalTape,
-    /// `grad_roots[axis]` is the tape-root index of `∂g/∂axis` (root 0 is
-    /// `g` itself), dense over the formula's variable space; `None` for an
-    /// axis the atom's expression does not mention (gradient ≡ 0).
-    grad_roots: Vec<Option<usize>>,
-    /// The same gradient roots as sparse `(axis, root)` pairs in ascending
-    /// axis order — the layout [`xcv_expr::newton::NewtonAtom`] consumes,
-    /// and the layout certificates serialize (the checker reconstructs
-    /// `root = i + 1` from the pair position, which holds by construction).
+    /// The gradient roots as sparse `(axis, root)` pairs in ascending axis
+    /// order (root 0 is `g` itself; an axis the expression does not mention
+    /// has gradient ≡ 0 and no pair) — the layout
+    /// [`xcv_expr::newton::NewtonAtom`] consumes, and the layout
+    /// certificates serialize (the checker reconstructs `root = i + 1` from
+    /// the pair position, which holds by construction).
     grad_pairs: Vec<(u32, u32)>,
     /// The expression mentions a variable beyond the space — the first-order
     /// form then carries no information (dropping the term would tighten
     /// unsoundly).
     overflow: bool,
-}
-
-#[derive(Debug, Default)]
-struct MeanValueProgram {
-    atoms: Vec<MvAtom>,
 }
 
 /// A formula compiled once for repeated solving. Immutable and shareable;
@@ -130,7 +123,7 @@ struct MeanValueProgram {
 pub struct CompiledFormula {
     source: Formula,
     /// The typed variable space of the problem (set by
-    /// [`CompiledFormula::compile_in`]); mean-value gradients and witness
+    /// [`CompiledFormula::compile_in`]); Newton gradients and witness
     /// labels index by its axes. `None` for anonymous formulas compiled with
     /// [`CompiledFormula::compile`].
     space: Option<VarSpace>,
@@ -146,7 +139,8 @@ pub struct CompiledFormula {
     support: u64,
     /// Forward/backward rounds per HC4 contraction call.
     max_rounds: usize,
-    mv: OnceLock<MeanValueProgram>,
+    /// The Newton gradient program, one [`GradientAtom`] per atom.
+    gradients: OnceLock<Vec<GradientAtom>>,
 }
 
 impl Clone for CompiledFormula {
@@ -160,7 +154,7 @@ impl Clone for CompiledFormula {
             atoms: self.atoms.clone(),
             support: self.support,
             max_rounds: self.max_rounds,
-            mv: OnceLock::new(),
+            gradients: OnceLock::new(),
         }
     }
 }
@@ -204,13 +198,8 @@ impl CompiledFormula {
             atoms,
             support,
             max_rounds: 3,
-            mv: OnceLock::new(),
+            gradients: OnceLock::new(),
         }
-    }
-
-    /// The formula this was compiled from.
-    pub fn formula(&self) -> &Formula {
-        &self.source
     }
 
     /// The typed variable space, when one was attached at compile time.
@@ -218,10 +207,10 @@ impl CompiledFormula {
         self.space.as_ref()
     }
 
-    /// Number of variable axes the mean-value program is indexed by: the
+    /// Number of variable axes the gradient program is indexed by: the
     /// attached space's dimension, or (for anonymous formulas) one past the
     /// highest variable index any atom mentions.
-    fn mv_nvars(&self) -> usize {
+    fn gradient_nvars(&self) -> usize {
         match &self.space {
             Some(s) => s.ndim(),
             None => self
@@ -320,12 +309,10 @@ impl CompiledFormula {
         (l, r, axis)
     }
 
-    /// The axis [`CompiledFormula::bisect_supported`] would split: the
-    /// widest supported axis (ties toward the lower index), falling back
-    /// to the widest axis overall for constant formulas. Exposed separately
-    /// so the rung-2 shaver can target the split axis without building the
-    /// two halves.
-    pub fn split_axis(&self, b: &BoxDomain) -> u32 {
+    /// The axis [`CompiledFormula::bisect_supported`] splits: the widest
+    /// supported axis (ties toward the lower index), falling back to the
+    /// widest axis overall for constant formulas.
+    fn split_axis(&self, b: &BoxDomain) -> u32 {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..b.ndim() {
             if self.supports_axis(i) {
@@ -515,138 +502,42 @@ impl CompiledFormula {
         Contraction::Box(current)
     }
 
-    /// The mean-value program, built (with full symbolic differentiation) on
-    /// first use and cached for the lifetime of the compiled formula.
-    fn mv(&self) -> &MeanValueProgram {
-        self.mv.get_or_init(|| {
+    /// The Newton gradient program, built (with full symbolic
+    /// differentiation) on first use and cached for the lifetime of the
+    /// compiled formula.
+    fn gradients(&self) -> &[GradientAtom] {
+        self.gradients.get_or_init(|| {
             // Counted so the compile-once tests catch an accidental
             // per-box gradient rebuild just like any other recompilation.
             COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-            let nvars = self.mv_nvars();
-            MeanValueProgram {
-                atoms: self
-                    .source
-                    .atoms
-                    .iter()
-                    .map(|a| {
-                        let free = a.expr.free_vars();
-                        let overflow = free.iter().any(|&v| v as usize >= nvars);
-                        // Gradients indexed by axis: only the axes the
-                        // expression mentions are differentiated and
-                        // lowered; the rest stay `None` (gradient ≡ 0).
-                        let mut roots: Vec<xcv_expr::Expr> = vec![a.expr.clone()];
-                        let mut grad_roots: Vec<Option<usize>> = vec![None; nvars];
-                        let mut grad_pairs: Vec<(u32, u32)> = Vec::new();
-                        for &v in free.iter().filter(|&&v| (v as usize) < nvars) {
-                            grad_roots[v as usize] = Some(roots.len());
-                            grad_pairs.push((v, roots.len() as u32));
-                            roots.push(a.expr.diff(v));
-                        }
-                        MvAtom {
-                            rel: a.rel,
-                            itape: IntervalTape::compile(&roots),
-                            grad_roots,
-                            grad_pairs,
-                            overflow,
-                        }
-                    })
-                    .collect(),
-            }
+            let nvars = self.gradient_nvars();
+            self.source
+                .atoms
+                .iter()
+                .map(|a| {
+                    let free = a.expr.free_vars();
+                    let overflow = free.iter().any(|&v| v as usize >= nvars);
+                    // Only the axes the expression mentions are
+                    // differentiated and lowered; the rest have gradient ≡ 0.
+                    let mut roots: Vec<xcv_expr::Expr> = vec![a.expr.clone()];
+                    let mut grad_pairs: Vec<(u32, u32)> = Vec::new();
+                    for &v in free.iter().filter(|&&v| (v as usize) < nvars) {
+                        grad_pairs.push((v, roots.len() as u32));
+                        roots.push(a.expr.diff(v));
+                    }
+                    GradientAtom {
+                        rel: a.rel,
+                        itape: IntervalTape::compile(&roots),
+                        grad_pairs,
+                        overflow,
+                    }
+                })
+                .collect()
         })
     }
 
-    /// True when the mean-value enclosure *proves* some atom unsatisfiable on
-    /// the box (sound pruning signal; see [`crate::meanvalue`]).
-    pub fn mv_certainly_infeasible(&self, b: &BoxDomain, scratch: &mut SolveScratch) -> bool {
-        for atom in &self.mv().atoms {
-            let enc = mv_enclosure(atom, b, scratch);
-            if enc.is_empty() {
-                continue; // no information
-            }
-            if enc.intersect(&atom.rel.allowed()).is_empty() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Interval-Newton-style contraction over the first-order relaxation
-    /// (see [`crate::meanvalue::MeanValue::contract`] for the math). `None`
-    /// when the box is proven infeasible.
-    pub fn mv_contract(&self, b: &BoxDomain, scratch: &mut SolveScratch) -> Option<BoxDomain> {
-        let mut current = b.clone();
-        for atom in &self.mv().atoms {
-            if atom.overflow {
-                // A variable beyond the space cannot be bounded by the box:
-                // the first-order form carries no information for this atom.
-                continue;
-            }
-            let mid = current.midpoint();
-            let vals = &mut scratch.mvals;
-            ensure_slots(vals, atom.itape.len());
-            // g(m): evaluate over the point box.
-            scratch.point_doms.clear();
-            scratch
-                .point_doms
-                .extend(mid.iter().map(|&x| Interval::point(x)));
-            atom.itape.forward(&scratch.point_doms, vals);
-            let g_m = vals[atom.itape.root_slot(0) as usize];
-            if g_m.is_empty() {
-                continue;
-            }
-            // An axis past the box's dimension has an unbounded offset:
-            // contracting without its term would be unsound, so skip.
-            if atom
-                .grad_roots
-                .iter()
-                .skip(current.ndim())
-                .any(Option::is_some)
-            {
-                continue;
-            }
-            // Gradient ranges over the full box, indexed by axis.
-            atom.itape.forward(current.dims(), vals);
-            let grads: Vec<(usize, Interval)> = atom
-                .grad_roots
-                .iter()
-                .enumerate()
-                .filter_map(|(axis, root)| {
-                    root.map(|r| (axis, vals[atom.itape.root_slot(r) as usize]))
-                })
-                .collect();
-            let offsets: Vec<Interval> = grads
-                .iter()
-                .map(|&(v, g)| g.mul(&current.dim(v).sub(&Interval::point(mid[v]))))
-                .collect();
-            let allowed = atom.rel.allowed();
-            for (k, &(v, grad)) in grads.iter().enumerate() {
-                if grad.contains(0.0) && !grad.is_point() {
-                    // Extended division would return ENTIRE unless the rest
-                    // already pins things down; skip cheaply.
-                    continue;
-                }
-                // rest = g(m) + Σ_{j≠k} offsets[j]
-                let mut rest = g_m;
-                for (j, off) in offsets.iter().enumerate() {
-                    if j != k {
-                        rest = rest.add(off);
-                    }
-                }
-                // allowed ∋ rest + grad·(x_v − m_v)
-                // ⇒ x_v ∈ m_v + (allowed − rest)/grad
-                let rhs = allowed.sub(&rest).div(&grad);
-                let newdom = current.dim(v).intersect(&rhs.add(&Interval::point(mid[v])));
-                if newdom.is_empty() {
-                    return None;
-                }
-                current.set_dim(v, newdom);
-            }
-        }
-        Some(current)
-    }
-
     /// Rung-1 contractor of the escalation ladder: interval-Newton (Gauss–
-    /// Seidel) sweeps over the mean-value gradient tapes, through the
+    /// Seidel) sweeps over the gradient program's tapes, through the
     /// *shared* [`xcv_expr::newton::newton_contract`] driver — the same
     /// function the certificate checker replays, so recorded `Newton` steps
     /// verify bitwise. `None` when a row solve proves the box infeasible.
@@ -656,11 +547,10 @@ impl CompiledFormula {
         sweeps: usize,
         scratch: &mut SolveScratch,
     ) -> Option<BoxDomain> {
-        let prog = self.mv();
         // Overflow atoms (a variable beyond the space) carry no first-order
         // information; axes beyond the *box* are skipped by the driver.
-        let atoms: Vec<xcv_expr::newton::NewtonAtom<'_>> = prog
-            .atoms
+        let atoms: Vec<xcv_expr::newton::NewtonAtom<'_>> = self
+            .gradients()
             .iter()
             .filter(|a| !a.overflow)
             .map(|a| xcv_expr::newton::NewtonAtom {
@@ -688,8 +578,7 @@ impl CompiledFormula {
     /// the portable gradient tape (roots `[g, ∂g/∂axis…]`) and the
     /// ascending axes its gradient roots cover (pair `i` is root `i + 1`).
     pub fn newton_portable(&self) -> Vec<Option<(String, Vec<u32>)>> {
-        self.mv()
-            .atoms
+        self.gradients()
             .iter()
             .map(|a| {
                 if a.overflow {
@@ -795,44 +684,6 @@ impl CompiledFormula {
     }
 }
 
-/// Rigorous first-order enclosure of one atom's expression over `b`.
-fn mv_enclosure(atom: &MvAtom, b: &BoxDomain, scratch: &mut SolveScratch) -> Interval {
-    if atom.overflow {
-        // The expression mentions a variable beyond the space (malformed
-        // formula): the first-order form carries no information. Dropping
-        // the term instead would tighten unsoundly.
-        return Interval::ENTIRE;
-    }
-    let mid = b.midpoint();
-    let vals = &mut scratch.mvals;
-    ensure_slots(vals, atom.itape.len());
-    scratch.point_doms.clear();
-    scratch
-        .point_doms
-        .extend(mid.iter().map(|&x| Interval::point(x)));
-    atom.itape.forward(&scratch.point_doms, vals);
-    let g_m = vals[atom.itape.root_slot(0) as usize];
-    if g_m.is_empty() {
-        // Midpoint outside the natural domain: fall back to "unknown".
-        return Interval::ENTIRE;
-    }
-    atom.itape.forward(b.dims(), vals);
-    let mut total = g_m;
-    for (axis, root) in atom.grad_roots.iter().enumerate() {
-        let Some(r) = root else { continue };
-        // An axis beyond the box's dimension has an unbounded offset: the
-        // first-order form carries no information.
-        let Some(&m_v) = mid.get(axis) else {
-            return Interval::ENTIRE;
-        };
-        let grad_range = vals[atom.itape.root_slot(*r) as usize];
-        let dim = b.dim(axis);
-        let offset = dim.sub(&Interval::point(m_v));
-        total = total.add(&grad_range.mul(&offset));
-    }
-    total
-}
-
 /// Relative contraction gain between two boxes (max over dimensions). The
 /// escalation ladder's stall detector reuses it (`pub(crate)`).
 pub(crate) fn improvement(before: &BoxDomain, after: &BoxDomain) -> f64 {
@@ -872,7 +723,7 @@ fn ensure_slots(buf: &mut Vec<Interval>, len: usize) {
 ///
 /// Slot files are reused across boxes *without* reinitialization — tape
 /// passes are write-before-read, so refilling with `ENTIRE` per box would
-/// be pure wasted memset (see [`ensure_slots`]).
+/// be pure wasted memset (see `ensure_slots`).
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// Slot file of the formula's shared interval tape: the box's forward
@@ -893,12 +744,8 @@ pub struct SolveScratch {
     /// operation's inverse rule there. Unlike the slot files, rewritten per
     /// box (cleared after each forward pass).
     dirty: Vec<bool>,
-    /// Slot file for the mean-value tapes (resized per atom).
-    mvals: Vec<Interval>,
     /// Register file for the f64 atom tapes (resized per atom).
     fvals: Vec<f64>,
-    /// Point-box domains for mean-value midpoint evaluation.
-    point_doms: Vec<Interval>,
     /// DFS work stack of the branch-and-prune search:
     /// `(box, depth, pristine)` — `pristine` is the inherited
     /// no-ladder-ancestor flag (see `DeltaSolver::step_after_contract`).
@@ -942,35 +789,41 @@ mod tests {
     use crate::formula::{Atom, Rel};
     use xcv_expr::var;
 
+    /// Contract `b` against `f` with the search's round count.
+    fn contract(f: &Formula, b: &BoxDomain) -> BoxDomain {
+        let compiled = CompiledFormula::compile(f);
+        let mut scratch = SolveScratch::new();
+        match compiled.contract_with_rounds(b, &mut scratch, compiled.max_rounds()) {
+            Contraction::Box(nb) => nb,
+            Contraction::Empty => panic!("{f} is feasible on {b}"),
+        }
+    }
+
     #[test]
-    fn compiled_contract_matches_fresh_hc4() {
+    fn compiled_contract_reaches_the_solution_hull() {
+        // x² − 4 ≤ 0 ∧ x − 1 ≥ 0 on [−10, 10]: the solutions are [1, 2].
         let f = Formula::new(vec![
             Atom::new(var(0).powi(2) - 4.0, Rel::Le),
             Atom::new(var(0) - 1.0, Rel::Ge),
         ]);
-        let b = BoxDomain::from_bounds(&[(-10.0, 10.0)]);
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        let got = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
-        let want = crate::contract::Hc4::new(&f).contract(&b);
-        assert_eq!(got, want);
+        let x = contract(&f, &BoxDomain::from_bounds(&[(-10.0, 10.0)])).dim(0);
+        assert!(x.lo <= 1.0 && x.lo >= 1.0 - 1e-12, "{x:?}");
+        assert!(x.hi >= 2.0 && x.hi <= 2.0 + 1e-12, "{x:?}");
     }
 
     #[test]
-    fn folded_constants_match_fresh_hc4() {
-        // √2·x − e ≤ 0 carries two tape-foldable constants; the compiled
-        // (folded) contraction must equal the legacy unfolded Hc4 result.
+    fn folded_constants_contract_to_the_exact_bound() {
+        // √2·x − e ≤ 0 carries two tape-foldable constants; the folded
+        // contraction must still cut x at e/√2, rounded outward only.
         use xcv_expr::constant;
         let f = Formula::single(Atom::new(
             constant(2.0).sqrt() * var(0) - constant(1.0).exp(),
             Rel::Le,
         ));
-        let b = BoxDomain::from_bounds(&[(-10.0, 10.0)]);
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        let got = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
-        let want = crate::contract::Hc4::new(&f).contract(&b);
-        assert_eq!(got, want);
+        let x = contract(&f, &BoxDomain::from_bounds(&[(-10.0, 10.0)])).dim(0);
+        let bound = std::f64::consts::E / std::f64::consts::SQRT_2;
+        assert_eq!(x.lo, -10.0);
+        assert!(x.hi >= bound && x.hi <= bound + 1e-12, "{x:?}");
     }
 
     #[test]
@@ -1032,10 +885,10 @@ mod tests {
     // on parallel threads, so a global-counter window would be racy.
 
     #[test]
-    fn compiled_space_is_carried_and_mv_stays_axis_sound() {
+    fn compiled_space_is_carried() {
         use xcv_expr::AxisKind;
-        // A formula over axes 0 and 2 (axis 1 unused — its gradient slot
-        // must stay None) with a typed per-spin space attached.
+        // A formula over axes 0 and 2 (axis 1 unused) with a typed per-spin
+        // space attached.
         let f = Formula::single(Atom::new(var(0) * var(2) - 1.0, Rel::Le));
         let space = VarSpace::of_kinds(&[AxisKind::Rs, AxisKind::SUp, AxisKind::SDown]);
         let compiled = CompiledFormula::compile_in(&f, space);
@@ -1043,19 +896,11 @@ mod tests {
             compiled.var_space().unwrap().names(),
             vec!["rs", "s_up", "s_dn"]
         );
-        // x0·x2 ∈ [4, 9] on the box, so x0·x2 ≤ 1 is provably infeasible —
-        // through the axis-indexed mean-value program and the legacy path
-        // alike.
-        let b = BoxDomain::from_bounds(&[(2.0, 3.0), (0.0, 5.0), (2.0, 3.0)]);
-        let mut scratch = SolveScratch::new();
-        assert!(compiled.mv_certainly_infeasible(&b, &mut scratch));
-        let mut legacy = crate::meanvalue::MeanValue::new(&f);
-        assert!(legacy.certainly_infeasible(&b));
-        // Anonymous compilation still works, with no space attached.
+        // Anonymous compilation still works, with no space attached, and
+        // contraction agrees between the two compilations.
         let anon = CompiledFormula::compile(&f);
         assert!(anon.var_space().is_none());
-        assert!(anon.mv_certainly_infeasible(&b, &mut scratch));
-        // And contraction agrees between the two compilations.
+        let mut scratch = SolveScratch::new();
         let wide = BoxDomain::from_bounds(&[(0.0, 3.0), (0.0, 5.0), (0.0, 3.0)]);
         assert_eq!(
             compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds()),
@@ -1064,43 +909,81 @@ mod tests {
     }
 
     #[test]
-    fn mv_out_of_range_var_is_no_information() {
-        // A formula mentioning var(1) solved over a 1-D box: the mean-value
-        // form cannot bound the missing dimension, so it must neither panic
-        // (the legacy behaviour) nor prune.
-        let f = Formula::single(Atom::new(var(1) + 1.0, Rel::Le));
-        let compiled = CompiledFormula::compile(&f);
+    fn newton_contract_covers_the_first_order_cases() {
+        use xcv_expr::AxisKind;
         let mut scratch = SolveScratch::new();
-        let b = BoxDomain::from_bounds(&[(0.0, 1.0)]);
-        assert!(!compiled.mv_certainly_infeasible(&b, &mut scratch));
-        let g = var(0).min(&var(1));
-        let f = Formula::single(Atom::new(g, Rel::Ge));
-        let compiled = CompiledFormula::compile(&f);
-        assert!(!compiled.mv_certainly_infeasible(&b, &mut scratch));
-    }
+        let sweeps = crate::Escalation::full().newton_sweeps;
+        let mut newton = |f: &CompiledFormula, bounds: &[(f64, f64)]| {
+            f.newton_contract(&BoxDomain::from_bounds(bounds), sweeps, &mut scratch)
+        };
+        let le =
+            |e: xcv_expr::Expr| CompiledFormula::compile(&Formula::single(Atom::new(e, Rel::Le)));
 
-    #[test]
-    fn mv_built_once_and_agrees_with_legacy() {
-        let g = var(0) - var(0).powi(2);
-        let f = Formula::single(Atom::new(g - 0.2, Rel::Le));
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
+        // x − x² − 0.2 ≤ 0 on [0.4, 0.6]: the natural extension of x − x²
+        // is [0.04, 0.44], so an HC4 round cannot refute the box; the
+        // mean-value enclosure 0.25 + [−0.2, 0.2]·[−0.1, 0.1] = [0.23, 0.27]
+        // can, in one step.
+        let dependency = le(var(0) - var(0).powi(2) - 0.2);
         let b = BoxDomain::from_bounds(&[(0.4, 0.6)]);
-        assert!(compiled.mv_certainly_infeasible(&b, &mut scratch));
-        let feasible = BoxDomain::from_bounds(&[(0.0, 0.3)]);
-        assert!(!compiled.mv_certainly_infeasible(&feasible, &mut scratch));
-        // Legacy comparison.
-        let mut legacy = crate::meanvalue::MeanValue::new(&f);
-        assert!(legacy.certainly_infeasible(&b));
-        assert!(!legacy.certainly_infeasible(&feasible));
-        // Newton contraction agreement on a linear constraint.
-        let lin = Formula::single(Atom::new(var(0) + 1.0, Rel::Le));
-        let clin = CompiledFormula::compile(&lin);
-        let wide = BoxDomain::from_bounds(&[(-5.0, 5.0)]);
-        let got = clin.mv_contract(&wide, &mut scratch).expect("feasible");
-        let want = crate::meanvalue::MeanValue::new(&lin)
-            .contract(&wide)
-            .expect("feasible");
-        assert_eq!(got.dim(0), want.dim(0));
+        assert!(matches!(
+            dependency.contract_with_rounds(&b, &mut SolveScratch::new(), 1),
+            Contraction::Box(_)
+        ));
+        assert!(newton(&dependency, &[(0.4, 0.6)]).is_none());
+
+        // x + 1 ≤ 0 on [−5, 5]: the first-order form is exact for linear
+        // constraints, so the row solve cuts to [−5, −1].
+        let nb = newton(&le(var(0) + 1.0), &[(-5.0, 5.0)]).expect("feasible");
+        assert!(nb.dim(0).hi <= -1.0 + 1e-9, "{:?}", nb.dim(0));
+        assert!(nb.dim(0).lo <= -5.0 + 1e-9);
+
+        // x² − 2 ≤ 0 over [0.5, 5]: every solution (x ≤ √2) survives, and
+        // the infeasible tail is cut.
+        let nb = newton(&le(var(0).powi(2) - 2.0), &[(0.5, 5.0)]).expect("feasible");
+        for i in 0..50 {
+            let x = 0.5 + (2.0f64.sqrt() - 0.5) * (i as f64) / 49.0;
+            if x * x <= 2.0 {
+                assert!(nb.contains_point(&[x]), "lost {x}");
+            }
+        }
+        assert!(nb.dim(0).hi < 5.0);
+
+        // x ≥ 0 ∧ x + 10 ≤ 0 cannot hold.
+        let contradiction = CompiledFormula::compile(&Formula::new(vec![
+            Atom::new(var(0), Rel::Ge),
+            Atom::new(var(0) + 10.0, Rel::Le),
+        ]));
+        assert!(newton(&contradiction, &[(-1.0, 1.0)]).is_none());
+
+        // x + y ≥ 0 on a box where x + y ≤ −1 everywhere.
+        let sum = CompiledFormula::compile(&Formula::single(Atom::new(var(0) + var(1), Rel::Ge)));
+        assert!(newton(&sum, &[(-2.0, -1.0), (-2.0, -0.5)]).is_none());
+
+        // The feasible circle box (the point (0.5, 0.5) solves it) is kept.
+        let circle = le(var(0).powi(2) + var(1).powi(2) - 1.0);
+        assert!(newton(&circle, &[(0.3, 0.7), (0.3, 0.7)]).is_some());
+
+        // ln over a box straddling 0: the midpoint may lie outside the
+        // domain; no panic, and a feasible box is kept.
+        let ln = le(var(0).ln());
+        let _ = newton(&ln, &[(-1.0, 0.5)]);
+        assert!(newton(&ln, &[(0.1, 0.9)]).is_some());
+
+        // x0·x2 ∈ [4, 9] on the box, so x0·x2 ≤ 1 is infeasible — through
+        // the axis-indexed program with a typed space attached (axis 1
+        // unused) and without one.
+        let product = Formula::single(Atom::new(var(0) * var(2) - 1.0, Rel::Le));
+        let space = VarSpace::of_kinds(&[AxisKind::Rs, AxisKind::SUp, AxisKind::SDown]);
+        let product_box = [(2.0, 3.0), (0.0, 5.0), (2.0, 3.0)];
+        assert!(newton(&CompiledFormula::compile_in(&product, space), &product_box).is_none());
+        assert!(newton(&CompiledFormula::compile(&product), &product_box).is_none());
+
+        // A variable beyond the box cannot be bounded: the first-order
+        // form carries no information, so the box comes back unchanged.
+        let beyond = [(0.0, 1.0)];
+        for e in [var(1) + 1.0, var(0).min(&var(1))] {
+            let nb = newton(&le(e), &beyond).expect("no information");
+            assert_eq!(nb, BoxDomain::from_bounds(&beyond));
+        }
     }
 }

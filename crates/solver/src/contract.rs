@@ -6,13 +6,13 @@
 //! contract each child's enclosure through the inverse of the node's
 //! operation. Variable enclosures at the end are the contracted box.
 //!
-//! The actual pass machinery lives in [`xcv_expr::IntervalTape`] (flat
-//! slot-file program) and [`crate::CompiledFormula`] (per-formula roots and
-//! allowed sets). [`Hc4`] is the owning convenience wrapper: it compiles the
-//! formula and carries its own scratch, for callers that contract one
-//! formula in place. Hot paths — the δ-solver, the verifier recursion —
-//! share one [`crate::CompiledFormula`] and per-worker scratch instead of
-//! constructing an `Hc4` per box.
+//! The pass machinery lives in [`xcv_expr::IntervalTape`] (flat slot-file
+//! program) and [`crate::CompiledFormula`] (per-formula roots and allowed
+//! sets): compile a formula once, then contract any box with
+//! [`crate::CompiledFormula::contract_with_rounds`] and a caller-owned
+//! [`crate::SolveScratch`]. The δ-solver and the verifier recursion share
+//! one compiled formula per problem and one scratch per worker. This module
+//! holds the contraction's result type and the inverse-rule tests.
 //!
 //! Soundness: every backward rule computes a *superset* of the child values
 //! consistent with the parent's current enclosure, so no real solution inside
@@ -20,8 +20,6 @@
 //! `cos`, parts of `pow`) simply do not contract — a no-op is always sound.
 
 use crate::boxdom::BoxDomain;
-use crate::compile::{CompiledFormula, SolveScratch};
-use crate::formula::Formula;
 
 /// Outcome of a contraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,40 +30,34 @@ pub enum Contraction {
     Box(BoxDomain),
 }
 
-/// A self-contained HC4 contractor for a fixed formula: compiled program +
-/// private scratch in one value.
-pub struct Hc4 {
-    compiled: CompiledFormula,
-    scratch: SolveScratch,
-    /// Number of forward/backward rounds per contraction call.
-    pub max_rounds: usize,
-}
-
-impl Hc4 {
-    /// Compile a contractor for a conjunction of atoms.
-    pub fn new(formula: &Formula) -> Hc4 {
-        Hc4 {
-            compiled: CompiledFormula::compile(formula),
-            scratch: SolveScratch::new(),
-            max_rounds: 3,
-        }
-    }
-
-    /// Contract `b` against the formula.
-    pub fn contract(&mut self, b: &BoxDomain) -> Contraction {
-        self.compiled
-            .contract_with_rounds(b, &mut self.scratch, self.max_rounds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::{CompiledFormula, SolveScratch};
     use crate::formula::{Atom, Formula, Rel};
     use xcv_expr::{constant, var};
 
+    /// Contract `b` against `f` with the search's round count.
     fn contract_once(f: &Formula, b: &BoxDomain) -> Contraction {
-        Hc4::new(f).contract(b)
+        let compiled = CompiledFormula::compile(f);
+        compiled.contract_with_rounds(b, &mut SolveScratch::new(), compiled.max_rounds())
+    }
+
+    /// Contract the point box `[x, x]` for `x = k·step`, `k = 100, 200, …,
+    /// 200,000`, per step: `f` holds at every such point, so none may
+    /// contract to empty. (A lossy root errs most at large magnitudes, so
+    /// the sweep spans the whole range rather than its first points.)
+    fn assert_no_point_box_empties(f: &Formula, steps: &[f64]) {
+        let compiled = CompiledFormula::compile(f);
+        let mut scratch = SolveScratch::new();
+        for &step in steps {
+            for k in (100..=200_000).step_by(100) {
+                let x = f64::from(k) * step;
+                let b = BoxDomain::from_bounds(&[(x, x)]);
+                let c = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
+                assert_ne!(c, Contraction::Empty, "{f} proven empty at x = {x:e}");
+            }
+        }
     }
 
     #[test]
@@ -244,6 +236,51 @@ mod tests {
     }
 
     #[test]
+    fn tanh_backward_keeps_every_point() {
+        // tanh(x) + 2 ≥ 0 holds everywhere. Near 0, atanh computed as
+        // ln((1 + x)/(1 − x)) cancels beyond the libm slop and proves point
+        // boxes empty.
+        let f = Formula::single(Atom::new(var(0).tanh() + 2.0, Rel::Ge));
+        assert_no_point_box_empties(&f, &[1e-7, 1e-4, -3.3e-6]);
+    }
+
+    #[test]
+    fn tanh_threshold_keeps_the_solution_edge() {
+        // tanh(x) ≤ c holds for x ≤ atanh(c) and tanh(x) ≥ c for
+        // x ≥ atanh(c); the point 1e-12 inside each edge must survive, for
+        // c = ±tanh(t), t ∈ [1.5, 18). Near c = −1, std's `atanh` takes
+        // `ln_1p` of an argument near −1, which errs far beyond the one-ulp
+        // step the threshold carries. The edge `ln((1 + c)/(1 − c))/2` is
+        // accurate here: the smaller of 1 ± c is exact (Sterbenz).
+        for k in 0..1650 {
+            let t = 1.5 + f64::from(k) * 0.01;
+            for c in [-t.tanh(), t.tanh()] {
+                let edge = 0.5 * ((1.0 + c) / (1.0 - c)).ln();
+                for (rel, x) in [(Rel::Le, edge - 1e-12), (Rel::Ge, edge + 1e-12)] {
+                    let f = Formula::single(Atom::new(var(0).tanh() - c, rel));
+                    let b = BoxDomain::from_bounds(&[(x, x)]);
+                    assert_ne!(
+                        contract_once(&f, &b),
+                        Contraction::Empty,
+                        "{f} at x = {x:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cube_root_backward_keeps_every_point() {
+        // x³ + 1e300 ≥ 0 and x⁻³ + 1e300 ≥ 0 hold at every sampled point.
+        // A cube root taken as `powf` with the rounded exponent 1/3 misses
+        // the exact root by more than the slop and proves points empty.
+        for e in [var(0).powi(3) + 1e300, var(0).powi(-3) + 1e300] {
+            let f = Formula::single(Atom::new(e, Rel::Ge));
+            assert_no_point_box_empties(&f, &[1.7, -1.3, 1e-3]);
+        }
+    }
+
+    #[test]
     fn sin_infeasible_range() {
         // sin(x) >= 2 is infeasible.
         let f = Formula::single(Atom::new(var(0).sin() - 2.0, Rel::Ge));
@@ -264,17 +301,16 @@ mod tests {
 
     #[test]
     fn extra_rounds_never_hurt() {
-        // max_rounds is honored: more rounds can only keep or tighten.
+        // The round count is honored: more rounds can only keep or tighten.
         let f = Formula::new(vec![
             Atom::new(var(0) + var(1), Rel::Le),
             Atom::new(var(0) - 4.0, Rel::Ge),
         ]);
         let b = BoxDomain::from_bounds(&[(0.0, 10.0), (-10.0, 10.0)]);
-        let mut one = Hc4::new(&f);
-        one.max_rounds = 1;
-        let mut many = Hc4::new(&f);
-        many.max_rounds = 6;
-        match (one.contract(&b), many.contract(&b)) {
+        let compiled = CompiledFormula::compile(&f);
+        let mut scratch = SolveScratch::new();
+        let one = compiled.contract_with_rounds(&b, &mut scratch, 1);
+        match (one, compiled.contract_with_rounds(&b, &mut scratch, 6)) {
             (Contraction::Box(a), Contraction::Box(c)) => {
                 for i in 0..2 {
                     assert!(c.dim(i).width() <= a.dim(i).width() + 1e-12);

@@ -19,7 +19,8 @@
 //! * [`CompiledFormula::compile`] — lowers a [`Formula`] to flat tapes *one
 //!   time*: a shared [`xcv_expr::IntervalTape`] for the HC4 forward/backward
 //!   passes, per-atom f64 [`xcv_expr::Tape`]s for midpoint model checks and
-//!   branch scoring, and (lazily) the symbolic mean-value gradients;
+//!   branch scoring, and (lazily) the symbolic gradients rung-1 Newton
+//!   sweeps over;
 //! * [`DeltaSolver::solve_compiled`] — depth-first branch-and-prune (the
 //!   solver's one search engine) over a *borrowed*
 //!   compiled formula plus a reusable per-worker [`SolveScratch`], with a
@@ -28,8 +29,8 @@
 //!   interface Algorithm 1 of the paper consumes;
 //! * [`DeltaSolver::solve`] — the original one-shot signature, kept as a
 //!   thin compile-then-solve wrapper;
-//! * [`contract::Hc4`] / [`MeanValue`] — owning wrappers (compiled program +
-//!   private scratch) for callers contracting a single formula in place.
+//! * [`CompiledFormula::contract_with_rounds`] — one HC4 contraction of a
+//!   box, for callers that contract without searching.
 //!
 //! The verifier's whole box tree shares one `CompiledFormula` per encoded
 //! problem; [`compile_count`] exposes a process-wide compilation counter so
@@ -42,9 +43,8 @@
 //! with the node budget spent on splits that never decide. [`Escalation`]
 //! replaces the flat budget with a per-box ladder:
 //!
-//! * **rung 0** — the always-on HC4 round (plus [`MeanValue`] when
-//!   enabled); boxes that contract well never escalate and behave exactly
-//!   as with the ladder off;
+//! * **rung 0** — the always-on HC4 round; boxes that contract well never
+//!   escalate and behave exactly as with the ladder off;
 //! * **rung 1** — interval-Newton (Gauss–Seidel) sweeps over the compiled
 //!   per-axis gradient tapes ([`xcv_expr::newton`]), entered when the
 //!   rung-0 contraction gain falls below [`Escalation::stall_gain`]. The
@@ -93,13 +93,11 @@ mod boxdom;
 mod compile;
 pub mod contract;
 mod formula;
-pub mod meanvalue;
 mod solve;
 
 pub use boxdom::BoxDomain;
 pub use compile::{compile_count, CompiledAtom, CompiledFormula, SolveScratch};
 pub use formula::{Atom, Formula, Rel};
-pub use meanvalue::MeanValue;
 pub use solve::{
     DeltaSolver, Escalation, Outcome, SolveBudget, SolveStats, SolveTrace, TraceEvent,
 };

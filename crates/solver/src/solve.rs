@@ -104,12 +104,12 @@ impl SolveStats {
 }
 
 /// The contractor escalation ladder: what a *stalled* box gets instead of
-/// burning its budget on bisection. Rung 0 is the always-on HC4 round
-/// (plus mean-value when enabled); a box whose rung-0 contraction gain
-/// falls below [`Escalation::stall_gain`] escalates to rung 1 —
-/// interval-Newton (Gauss–Seidel) sweeps over the compiled gradient tapes
-/// — and, still stalled, to rung 2 — 3B slab shaving at the box faces with
-/// dirty-cone re-evaluation.
+/// burning its budget on bisection. Rung 0 is the always-on HC4 round; a
+/// box whose rung-0 contraction gain falls below [`Escalation::stall_gain`]
+/// escalates to rung 1 — interval-Newton (Gauss–Seidel) sweeps over the
+/// compiled gradient tapes, the solver's one first-order (mean-value)
+/// contractor — and, still stalled, to rung 2 — 3B slab shaving at the box
+/// faces with dirty-cone re-evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Escalation {
     /// Highest rung a box may escalate to (`0` = ladder off, the default;
@@ -191,9 +191,6 @@ pub struct DeltaSolver {
     /// scale at which undecided boxes are declared δ-SAT.
     pub delta: f64,
     pub budget: SolveBudget,
-    /// Enable the mean-value-form infeasibility test as a second pruning
-    /// signal (see [`crate::meanvalue::MeanValue`]); off by default.
-    pub mean_value: bool,
     /// The contractor escalation ladder for stalled boxes; off by default.
     /// It changes *which* boxes the search visits (stalled boxes contract
     /// harder instead of splitting), so it turns rung-0 timeouts into
@@ -206,7 +203,6 @@ impl Default for DeltaSolver {
         DeltaSolver {
             delta: 1e-3,
             budget: SolveBudget::default(),
-            mean_value: false,
             escalation: Escalation::off(),
         }
     }
@@ -286,10 +282,6 @@ pub enum TraceEvent {
 #[derive(Debug, Clone, Default)]
 pub struct SolveTrace {
     pub events: Vec<TraceEvent>,
-    /// The solve ran with the mean-value contractor enabled. Mean-value
-    /// pruning is not replayable from the interval tape alone, so
-    /// certificate emission rejects such traces.
-    pub used_mean_value: bool,
     /// The search ran to a decision (`Unsat`/`DeltaSat`), i.e. the events
     /// account for the whole explored cover; `false` after a `Timeout`.
     pub complete: bool,
@@ -300,15 +292,8 @@ impl DeltaSolver {
         DeltaSolver {
             delta,
             budget,
-            mean_value: false,
             escalation: Escalation::off(),
         }
-    }
-
-    /// Enable or disable the mean-value pruning test.
-    pub fn with_mean_value(mut self, on: bool) -> Self {
-        self.mean_value = on;
-        self
     }
 
     /// Set the contractor escalation ladder (see [`Escalation`]).
@@ -318,14 +303,35 @@ impl DeltaSolver {
     }
 
     /// A stable 64-bit fingerprint of every field that can change a solve's
-    /// *answer or coverage*: δ, both budget axes, the mean-value switch,
-    /// and the full escalation ladder. Two solvers with equal fingerprints
-    /// produce bit-identical outcomes on any compiled problem, so memoized
-    /// result stores key on this (FNV-1a over the exact bit patterns — no
-    /// float rounding in the key).
+    /// *answer or coverage*: δ, both budget axes, and the full escalation
+    /// ladder — every field the solver has. Two solvers with equal
+    /// fingerprints produce bit-identical outcomes on any compiled problem,
+    /// so memoized result stores key on this (FNV-1a over the exact bit
+    /// patterns — no float rounding in the key).
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
+        // Destructured without `..`: a new field does not compile until it
+        // is hashed here.
+        let DeltaSolver {
+            delta,
+            budget:
+                SolveBudget {
+                    max_nodes,
+                    max_millis,
+                },
+            escalation:
+                Escalation {
+                    max_rung,
+                    stall_gain,
+                    newton_sweeps,
+                    shave_frac,
+                    shave_passes,
+                    depth_cap,
+                    shave_stride,
+                    newton_width_cap,
+                },
+        } = self;
         let mut h = OFFSET;
         let mut eat = |v: u64| {
             for b in v.to_le_bytes() {
@@ -333,19 +339,17 @@ impl DeltaSolver {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        eat(self.delta.to_bits());
-        eat(self.budget.max_nodes);
-        eat(self.budget.max_millis);
-        eat(u64::from(self.mean_value));
-        let esc = &self.escalation;
-        eat(u64::from(esc.max_rung));
-        eat(esc.stall_gain.to_bits());
-        eat(esc.newton_sweeps as u64);
-        eat(esc.shave_frac.to_bits());
-        eat(u64::from(esc.shave_passes));
-        eat(u64::from(esc.depth_cap));
-        eat(u64::from(esc.shave_stride));
-        eat(esc.newton_width_cap.to_bits());
+        eat(delta.to_bits());
+        eat(*max_nodes);
+        eat(*max_millis);
+        eat(u64::from(*max_rung));
+        eat(stall_gain.to_bits());
+        eat(*newton_sweeps as u64);
+        eat(shave_frac.to_bits());
+        eat(u64::from(*shave_passes));
+        eat(u64::from(*depth_cap));
+        eat(u64::from(*shave_stride));
+        eat(newton_width_cap.to_bits());
         h
     }
 
@@ -394,11 +398,7 @@ impl DeltaSolver {
         compiled: &CompiledFormula,
         scratch: &mut SolveScratch,
     ) -> (Outcome, SolveStats, SolveTrace) {
-        let mut trace = SolveTrace {
-            events: Vec::new(),
-            used_mean_value: self.mean_value,
-            complete: false,
-        };
+        let mut trace = SolveTrace::default();
         let (outcome, stats) = self.search(domain, compiled, scratch, Some(&mut trace));
         trace.complete = !matches!(outcome, Outcome::Timeout);
         (outcome, stats, trace)
@@ -518,24 +518,13 @@ impl DeltaSolver {
         pristine: bool,
         mut events: Option<&mut Vec<TraceEvent>>,
     ) -> BoxStep {
-        let contracted = match contraction {
+        let mut contracted = match contraction {
             Contraction::Empty => return BoxStep::Pruned,
             Contraction::Box(nb) => nb,
         };
         if contracted.is_empty() {
             return BoxStep::Pruned;
         }
-        let mut contracted = if self.mean_value {
-            match compiled.mv_contract(&contracted, scratch) {
-                None => return BoxStep::Pruned,
-                Some(nb) if compiled.mv_certainly_infeasible(&nb, scratch) => {
-                    return BoxStep::Pruned
-                }
-                Some(nb) => nb,
-            }
-        } else {
-            contracted
-        };
         // Escalation ladder: a box whose rung-0 contraction stalled gets
         // stronger contractors instead of burning budget on bisection. Only
         // *wide* boxes escalate: a box already near the δ resolution is
@@ -850,47 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_value_agrees_with_plain_on_outcomes() {
-        // MV is a pruning accelerator; it must never change Unsat/Sat
-        // answers, only how fast they arrive.
-        let cases = [
-            Formula::single(Atom::new(var(0).powi(2) + 1.0, Rel::Le)), // unsat
-            Formula::new(vec![
-                Atom::new(var(0).powi(2) - 4.0, Rel::Le),
-                Atom::new(var(0) - 1.0, Rel::Ge),
-            ]), // sat
-        ];
-        let b = BoxDomain::from_bounds(&[(-10.0, 10.0)]);
-        for f in cases {
-            let plain = solver().solve(&b, &f);
-            let mv = solver().with_mean_value(true).solve(&b, &f);
-            match (plain, mv) {
-                (Outcome::Unsat, Outcome::Unsat) => {}
-                (Outcome::DeltaSat(_), Outcome::DeltaSat(_)) => {}
-                (p, m) => panic!("divergent outcomes: {p:?} vs {m:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn mean_value_prunes_dependency_heavy_formula() {
-        // x - x^2 >= 0.3 is unsatisfiable (max is 0.25); MV proves it with
-        // far fewer nodes than the natural extension needs.
-        let f = Formula::single(Atom::new(var(0) - var(0).powi(2) - 0.3, Rel::Ge));
-        let b = BoxDomain::from_bounds(&[(0.0, 1.0)]);
-        let (out_plain, stats_plain) = solver().solve_with_stats(&b, &f);
-        let (out_mv, stats_mv) = solver().with_mean_value(true).solve_with_stats(&b, &f);
-        assert_eq!(out_plain, Outcome::Unsat);
-        assert_eq!(out_mv, Outcome::Unsat);
-        assert!(
-            stats_mv.nodes <= stats_plain.nodes,
-            "MV should not explore more: {} vs {}",
-            stats_mv.nodes,
-            stats_plain.nodes
-        );
-    }
-
-    #[test]
     fn compiled_session_reuse_matches_one_shot() {
         // One compiled formula + one scratch across many boxes must agree
         // with a fresh compile-per-box solve on every box.
@@ -919,22 +867,6 @@ mod tests {
     // The "session solving never compiles" counter assertion lives in
     // `tests/compile_once.rs` (own binary + mutex): the process-global
     // counter races with sibling unit tests compiling on parallel threads.
-
-    #[test]
-    fn compiled_mean_value_session() {
-        // The MV gradients build lazily inside the compiled formula; enabling
-        // mean_value on the compiled path must match the plain path.
-        let f = Formula::single(Atom::new(var(0) - var(0).powi(2) - 0.3, Rel::Ge));
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        let b = BoxDomain::from_bounds(&[(0.0, 1.0)]);
-        let s = solver().with_mean_value(true);
-        let (out, st) = s.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        assert_eq!(out, Outcome::Unsat);
-        let (out2, st2) = s.solve_with_stats(&b, &f);
-        assert_eq!(out2, Outcome::Unsat);
-        assert_eq!(st.nodes, st2.nodes);
-    }
 
     #[test]
     fn unsupported_axes_never_split() {
@@ -1072,6 +1004,35 @@ mod tests {
             }
         }
         assert!(stack.is_empty(), "Unsat trace must consume every box");
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base =
+            DeltaSolver::new(1e-3, SolveBudget::nodes(800)).with_escalation(Escalation::full());
+        type Change = (&'static str, fn(&mut DeltaSolver));
+        let changes: [Change; 11] = [
+            ("delta", |s| s.delta = 2e-3),
+            ("max_nodes", |s| s.budget.max_nodes = 801),
+            ("max_millis", |s| s.budget.max_millis = 50),
+            ("max_rung", |s| s.escalation.max_rung = 1),
+            ("stall_gain", |s| s.escalation.stall_gain = 0.5),
+            ("newton_sweeps", |s| s.escalation.newton_sweeps = 3),
+            ("shave_frac", |s| s.escalation.shave_frac = 0.125),
+            ("shave_passes", |s| s.escalation.shave_passes = 4),
+            ("depth_cap", |s| s.escalation.depth_cap = 9),
+            ("shave_stride", |s| s.escalation.shave_stride = 2),
+            ("newton_width_cap", |s| s.escalation.newton_width_cap = 0.5),
+        ];
+        for (field, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            assert_ne!(
+                changed.fingerprint(),
+                base.fingerprint(),
+                "{field} must change the fingerprint"
+            );
+        }
     }
 
     #[test]

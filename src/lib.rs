@@ -137,7 +137,7 @@
 //! default is the positional convention derived from the family
 //! (`rs` | `rs, s` | `rs, s, α`), and every consumer follows the axes:
 //! [`prelude::pb_domain`] is the space's box, the encoder attaches the
-//! space to the compiled formula (axis-indexed mean-value gradients,
+//! space to the compiled formula (axis-indexed Newton gradients,
 //! axis-labeled witnesses), and the grid baseline meshes whatever axes the
 //! space declares.
 //!

@@ -5,7 +5,8 @@
 //! * HC4 contraction never discards a solution;
 //! * symbolic differentiation agrees with central differences;
 //! * the compiled tape agrees with the recursive evaluator;
-//! * solver `Unsat` answers are never contradicted by dense sampling.
+//! * solver `Unsat` answers are never contradicted by dense sampling;
+//! * the solver keeps the solutions of `tanh` constraints across (−1, 1).
 
 use proptest::prelude::*;
 use xcverifier::prelude::*;
@@ -143,8 +144,9 @@ proptest! {
         let atom = Atom::new(e - constant(v + 1.0), Rel::Le);
         let formula = Formula::single(atom);
         let b = BoxDomain::from_bounds(&[(-1.5, 1.5), (-1.5, 1.5)]);
-        let mut hc4 = xcverifier::solver::contract::Hc4::new(&formula);
-        match hc4.contract(&b) {
+        let compiled = xcverifier::solver::CompiledFormula::compile(&formula);
+        let mut scratch = xcverifier::solver::SolveScratch::new();
+        match compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds()) {
             xcverifier::solver::contract::Contraction::Empty => {
                 prop_assert!(false, "solution box declared empty");
             }
@@ -152,6 +154,42 @@ proptest! {
                 prop_assert!(
                     nb.contains_point(&[x0, x1]),
                     "contraction lost ({x0}, {x1})"
+                );
+            }
+        }
+    }
+
+    /// The solver keeps the solutions of `tanh` constraints for c = tanh(t),
+    /// with t = ±10^exponent (c near 0) and t = ±large (c near ±1): the
+    /// root of tanh(x) = c over [t − 1, t + 1], and the point just inside
+    /// the edge atanh(c) of tanh(x) ≤ c and of tanh(x) ≥ c. An inverse
+    /// rule that errs beyond its rounding slop refutes one of them.
+    #[test]
+    fn solver_keeps_tanh_solutions(exponent in -8.0f64..0.0, large in 1.5f64..17.0) {
+        let solver = DeltaSolver::new(1e-6, SolveBudget::nodes(10_000));
+        for t in [10f64.powf(exponent), large].into_iter().flat_map(|t| [t, -t]) {
+            let c = t.tanh();
+            // atanh(c) to a few ulps at both ends: the `ln_1p` argument is ≥ 0.
+            let edge = (0.5 * (2.0 * c.abs() / (1.0 - c.abs())).ln_1p()).copysign(c);
+            let inside = 1e-13 * edge.abs();
+            let g = var(0).tanh() - constant(c);
+            let cases = [
+                (
+                    Formula::new(vec![Atom::new(g.clone(), Rel::Ge), Atom::new(g.clone(), Rel::Le)]),
+                    (t - 1.0, t + 1.0),
+                ),
+                (Formula::single(Atom::new(g.clone(), Rel::Le)), (edge - inside, edge - inside)),
+                (Formula::single(Atom::new(g, Rel::Ge)), (edge + inside, edge + inside)),
+            ];
+            for (f, bounds) in cases {
+                let b = BoxDomain::from_bounds(&[bounds]);
+                let outcome = solver.solve(&b, &f);
+                prop_assert!(
+                    matches!(outcome, Outcome::DeltaSat(_)),
+                    "{} over {}: {:?}",
+                    f,
+                    b,
+                    outcome
                 );
             }
         }

@@ -12,7 +12,7 @@
 //!
 //! * proptest (local shim): random expression formulas over random boxes —
 //!   same `Outcome` class, and identical models when δ-SAT (the search is
-//!   deterministic);
+//!   deterministic), ladder off and with the interval-Newton rung;
 //! * the pinned 45-pair `encode_all_extended()` matrix: a hand-rolled
 //!   replica of Algorithm 1 running the vendored seed solver per box must
 //!   produce the same `TableMark` as the production verifier running on the
@@ -115,84 +115,82 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Session solving (compiled once, scratch reused across boxes) agrees
-    /// with per-call solving on outcome class and on the exact model.
+    /// with per-call solving on outcome class, on the exact model and on
+    /// the search tree, for two inputs: the band `lo ≤ e ≤ lo + band` with
+    /// the ladder off, and `e − e² ≥ c` with the interval-Newton rung on.
+    /// With `c` near the left side's maximum 1/4, the second is a
+    /// dependency problem that HC4 only refutes by bisection, so stalled
+    /// boxes reach the Newton rung, whose gradient program the session
+    /// builds once and the one-shot call builds afresh.
     #[test]
     fn session_agrees_with_per_call(
         recipe in recipe_strategy(),
         lo in -0.5f64..0.5,
         band in 0.05f64..0.5,
+        c in 0.2f64..0.3,
     ) {
         let e = build(&recipe);
-        let f = Formula::new(vec![
+        let band_formula = Formula::new(vec![
             Atom::new(e.clone() - constant(lo), Rel::Ge),
-            Atom::new(e - constant(lo + band), Rel::Le),
+            Atom::new(e.clone() - constant(lo + band), Rel::Le),
         ]);
-        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(2_000));
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        // The seed architecture always bisects the globally widest axis; the
-        // current solver deliberately never splits (nor δ-gates on) axes the
-        // formula does not mention. The two searches coincide exactly when
-        // the support set covers every box axis — or none (the constant-
-        // formula fallback is the legacy policy). Partial-support recipes
-        // keep the fresh-vs-session check below but skip the seed compare.
-        let seed_comparable = matches!(compiled.support_mask() & 0b11, 0 | 0b11);
+        let newton_formula = Formula::single(Atom::new(e.clone() - e.powi(2) - constant(c), Rel::Ge));
+        let plain = DeltaSolver::new(1e-3, SolveBudget::nodes(2_000));
+        let newton = DeltaSolver::new(1e-3, SolveBudget::nodes(1_000))
+            .with_escalation(Escalation { max_rung: 1, ..Escalation::full() });
         // Several boxes against one scratch: reuse must not leak state.
         let boxes = [
             BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]),
             BoxDomain::from_bounds(&[(0.0, 0.5), (-1.0, 0.0)]),
             BoxDomain::from_bounds(&[(-1.0, -0.25), (0.25, 1.0)]),
         ];
-        for b in &boxes {
-            let fresh = solver.solve(b, &f);
-            let session = solver.solve_compiled(b, &compiled, &mut scratch);
-            prop_assert_eq!(
-                outcome_class(&fresh),
-                outcome_class(&session),
-                "outcome class diverged on {} over {}",
-                f,
-                b
-            );
-            if let (Outcome::DeltaSat(a), Outcome::DeltaSat(c)) = (&fresh, &session) {
-                prop_assert_eq!(a, c, "deterministic search produced different models");
-            }
-            if seed_comparable {
-                let (seed, _) = seed_solve_with_stats(&solver, b, &f);
+        for (f, solver, ladder_off) in [(band_formula, plain, true), (newton_formula, newton, false)] {
+            let compiled = CompiledFormula::compile(&f);
+            let mut scratch = SolveScratch::new();
+            // The seed architecture has no ladder, and it always bisects the
+            // globally widest axis, where the current solver never splits
+            // (nor δ-gates on) axes the formula does not mention. The two
+            // searches coincide for the ladder-off input when the support set
+            // covers every box axis — or none (the constant-formula fallback
+            // is the legacy policy). Other inputs keep the fresh-vs-session
+            // check but skip the seed compare.
+            let seed_comparable =
+                ladder_off && matches!(compiled.support_mask() & 0b11, 0 | 0b11);
+            for b in &boxes {
+                let (fresh, fresh_stats) = solver.solve_with_stats(b, &f);
+                let (session, session_stats) =
+                    solver.solve_compiled_with_stats(b, &compiled, &mut scratch);
                 prop_assert_eq!(
-                    outcome_class(&seed),
+                    outcome_class(&fresh),
                     outcome_class(&session),
-                    "session diverged from the seed architecture on {} over {}",
+                    "outcome class diverged on {} over {}",
                     f,
                     b
                 );
-                if let (Outcome::DeltaSat(a), Outcome::DeltaSat(c)) = (&seed, &session) {
-                    prop_assert_eq!(a, c, "session and seed found different models");
+                if let (Outcome::DeltaSat(a), Outcome::DeltaSat(c)) = (&fresh, &session) {
+                    prop_assert_eq!(a, c, "deterministic search produced different models");
+                }
+                prop_assert_eq!(
+                    (fresh_stats.nodes, fresh_stats.pruned, fresh_stats.branched),
+                    (session_stats.nodes, session_stats.pruned, session_stats.branched),
+                    "the session searched a different tree on {} over {}",
+                    f,
+                    b
+                );
+                if seed_comparable {
+                    let (seed, _) = seed_solve_with_stats(&solver, b, &f);
+                    prop_assert_eq!(
+                        outcome_class(&seed),
+                        outcome_class(&session),
+                        "session diverged from the seed architecture on {} over {}",
+                        f,
+                        b
+                    );
+                    if let (Outcome::DeltaSat(a), Outcome::DeltaSat(c)) = (&seed, &session) {
+                        prop_assert_eq!(a, c, "session and seed found different models");
+                    }
                 }
             }
-        }
-    }
-
-    /// Same equivalence with the mean-value contractor enabled (gradients
-    /// are compiled lazily, once, inside the session).
-    #[test]
-    fn session_agrees_with_per_call_mean_value(
-        recipe in recipe_strategy(),
-        lo in -0.5f64..0.5,
-    ) {
-        let e = build(&recipe);
-        let f = Formula::new(vec![
-            Atom::new(e.clone() - constant(lo), Rel::Ge),
-            Atom::new(e - constant(lo + 0.2), Rel::Le),
-        ]);
-        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(1_000)).with_mean_value(true);
-        let compiled = CompiledFormula::compile(&f);
-        let mut scratch = SolveScratch::new();
-        let b = BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        let fresh = solver.solve(&b, &f);
-        let session = solver.solve_compiled(&b, &compiled, &mut scratch);
-        prop_assert_eq!(outcome_class(&fresh), outcome_class(&session));
-        if let (Outcome::DeltaSat(a), Outcome::DeltaSat(c)) = (&fresh, &session) {
-            prop_assert_eq!(a, c);
         }
     }
 }

@@ -227,7 +227,7 @@ fn spin_campaign_compiles_once_per_cell() {
     // citizens.
     assert_eq!(cells, 5);
     // ψ shares the ¬ψ tape (PR 3), so each encoded cell lowers once; allow
-    // the lazily-built mean-value program on top, nothing per box.
+    // the lazily-built Newton gradient program on top, nothing per box.
     assert!(
         compiles <= 2 * cells,
         "{compiles} compilations for {cells} spin cells"

@@ -118,7 +118,7 @@ proptest! {
 fn axis_refactor_adds_no_lowerings_per_cell() {
     // The typed-axis refactor must not change the compile-once contract:
     // one formula lowering per encoded cell (ψ shares the ¬ψ tape), plus at
-    // most the lazily-built mean-value program — nothing per box, for the
+    // most the lazily-built Newton gradient program — nothing per box, for the
     // per-spin citizens exactly like the rest of the matrix.
     let _guard = COUNTER_WINDOW.lock().unwrap();
     let cells = [
@@ -149,7 +149,7 @@ fn axis_refactor_adds_no_lowerings_per_cell() {
     }
     let compiles = xcverifier::solver::compile_count() - before;
     // Everything was compiled at encode time: verifying N boxes per cell
-    // adds at most the once-per-formula mean-value gradient build.
+    // adds at most the once-per-formula Newton gradient build.
     assert!(
         compiles <= cells.len() as u64,
         "{compiles} lowerings while verifying {} pre-encoded cells",
