@@ -25,7 +25,6 @@ fn bench_domain_splitting(c: &mut Criterion) {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, budget),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 4,
         pair_deadline_ms: None,
     });
@@ -33,7 +32,6 @@ fn bench_domain_splitting(c: &mut Criterion) {
         split_threshold: f64::INFINITY, // never split
         solver: DeltaSolver::new(1e-3, budget),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 0,
         pair_deadline_ms: None,
     });
@@ -74,7 +72,6 @@ fn bench_parallel(c: &mut Criterion) {
             split_threshold: 0.6,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(800)),
             parallel,
-            parallel_depth: 3,
             max_depth: 4,
             pair_deadline_ms: None,
         });

@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use xcv_bench::repro_verifier;
 use xcv_conditions::Condition;
-use xcv_core::Encoder;
+use xcv_core::presets::repro_config;
+use xcv_core::{Encoder, Verifier};
 use xcv_functionals::Dfa;
 
 fn bench_pairs(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_pairs(c: &mut Criterion) {
     ];
     for (dfa, cond, name) in cases {
         let problem = Encoder::encode(dfa, cond).expect("applicable");
-        let verifier = repro_verifier(25, 1.25, 2);
+        let verifier = Verifier::new(repro_config(25, 1.25, 2));
         g.bench_function(name, |b| {
             b.iter(|| black_box(verifier.verify(black_box(&problem))))
         });

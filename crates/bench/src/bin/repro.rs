@@ -16,9 +16,10 @@
 
 use std::fs;
 use std::path::PathBuf;
-use xcv_bench::{config_for, default_grid, verifier_for};
+use xcv_bench::default_grid;
 use xcv_conditions::Condition;
-use xcv_core::{Campaign, CampaignEvent, CampaignReport, Encoder, TableMark};
+use xcv_core::presets::config_for;
+use xcv_core::{Campaign, CampaignEvent, CampaignReport, Encoder, TableMark, Verifier};
 use xcv_functionals::{FunctionalHandle, Registry};
 use xcv_report as report;
 
@@ -226,7 +227,7 @@ fn figure(opts: &Opts, f: &FunctionalHandle, fig: u32) {
         let letter2 = (b'd' + panel as u8) as char;
         println!("--- Fig {fig}{letter2}: {name} / {cond} — XCVerifier ---");
         if let Ok(p) = Encoder::encode(f, cond) {
-            let map = verifier_for(f.as_ref(), opts.budget_ms).verify(&p);
+            let map = Verifier::new(config_for(f.as_ref(), opts.budget_ms)).verify(&p);
             println!("{}", report::ascii_region_map(&map, 60, 20));
             println!(
                 "verifier: {} | verified {:.0}% of the domain volume, \

@@ -19,7 +19,7 @@
 //!   hash-mapped `IntervalEnv` storage, branch scoring through the
 //!   allocating recursive evaluator;
 //! * **ladder**    — the session with the full contractor
-//!   escalation ladder ([`Escalation::full`]): stalled boxes get
+//!   escalation ladder ([`Escalation::Full`]): stalled boxes get
 //!   interval-Newton sweeps (rung 1) and 3B slab shaving (rung 2) instead
 //!   of burning the node budget on bisection. Per box, the outcome may
 //!   cross the Timeout boundary in either direction (a timeout becomes a
@@ -284,11 +284,8 @@ fn main() {
     let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(opts.nodes));
     // Rung 1 (Newton only) exists solely to attribute the timeout
     // trajectory per rung.
-    let rung1_solver = solver.clone().with_escalation(Escalation {
-        max_rung: 1,
-        ..Escalation::full()
-    });
-    let ladder_solver = solver.clone().with_escalation(Escalation::full());
+    let rung1_solver = solver.clone().with_escalation(Escalation::Newton);
+    let ladder_solver = solver.clone().with_escalation(Escalation::Full);
     println!(
         "== solver_bench: {} pairs, split depth {}, {} nodes/box ==",
         problems.len(),

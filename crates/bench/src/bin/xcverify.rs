@@ -26,7 +26,7 @@
 //! witnesses, so the refutation ships with its own replayable evidence.
 //!
 //! `--ladder` arms the contractor escalation ladder ([`xcv_solver::
-//! Escalation::full`]) in every pair's verifier config: boxes where HC4
+//! Escalation::Full`]) in every pair's verifier config: boxes where HC4
 //! stalls get interval-Newton sweeps and 3B slab shaving instead of timing
 //! out. Marks only ever improve — timeouts become decisions, spurious δ-sat
 //! leaves become sound `Unsat` proofs — and every ladder step stays
@@ -522,7 +522,7 @@ fn main() -> ExitCode {
         .config_policy(move |f, _| {
             let mut config = policy.verifier_config(f);
             if ladder {
-                config.solver.escalation = xcv_solver::Escalation::full();
+                config.solver.escalation = xcv_solver::Escalation::Full;
             }
             config
         });

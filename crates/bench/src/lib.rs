@@ -1,13 +1,9 @@
-//! Shared presets for the benchmark harness and the `repro` binary.
-//!
-//! The reproduction presets (`repro_config`, `config_for`, …) moved to
-//! [`xcv_core::presets`] so the `xcvserve` daemon can derive identical
-//! per-functional configurations without depending on this crate; they are
-//! re-exported here verbatim for existing call sites.
+//! Shared pieces of the benchmark harness and the `repro` binary: the
+//! grid preset and the vendored seed solver. The verifier presets
+//! (`repro_config`, `config_for`) live in [`xcv_core::presets`], where the
+//! `xcvserve` daemon derives the same configurations.
 
 pub mod seed_baseline;
-
-pub use xcv_core::presets::{config_for, repro_config, repro_verifier, verifier_for};
 
 use xcv_grid::GridConfig;
 

@@ -90,9 +90,9 @@ fn snapshot_ladder_entry_pins_the_timeout_tail() {
     // rung-0 timeout count (620 at the time of pinning) by at least 170
     // boxes without a single Unsat regression, at no more than a 20%
     // wall premium over the plain session it extends (the measured point
-    // behind `Escalation::full()`'s defaults is 417 timeouts at a 1.10x
-    // wall ratio; deeper escalation reaches 399 but at 1.4x wall — see the
-    // depth-cap notes on [`xcv_solver::Escalation`]).
+    // behind the ladder's constants is 417 timeouts at a 1.10x wall ratio;
+    // deeper escalation reaches 399 but at 1.4x wall — see the notes on
+    // `DEPTH_CAP` in `crates/solver/src/solve.rs`).
     let json = snapshot();
     // The top-level ladder entry (per-pair records carry a `"ladder":
     // {"nodes": ...}` sub-object each; only the top-level one leads with

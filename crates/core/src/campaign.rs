@@ -20,9 +20,9 @@
 //!   [`RegionStatus::Cancelled`] leaves, so a cut pair is reported as
 //!   [`SkipReason::Cancelled`], never as answered, and a checkpoint resumes
 //!   it mid-tree;
-//! * **observing** — [`CampaignEvent`]s stream through a callback (or the
-//!   [`CampaignBuilder::event_channel`] convenience) as pairs start, finish,
-//!   and produce counterexamples;
+//! * **observing** — [`CampaignEvent`]s stream through callbacks
+//!   ([`CampaignBuilder::on_event`]) as pairs start, finish, and produce
+//!   counterexamples;
 //! * **reporting** — the result is a structured [`CampaignReport`] that
 //!   `xcv_report` renders directly into the paper's Tables I/II.
 
@@ -36,7 +36,6 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use xcv_cert::Certificate;
@@ -516,19 +515,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Convenience: stream events into an `mpsc` channel instead of (or in
-    /// addition to) callbacks. Returns the receiving end.
-    pub fn event_channel(self) -> (Self, mpsc::Receiver<CampaignEvent>) {
-        let (tx, rx) = mpsc::channel();
-        let tx = Mutex::new(tx);
-        let b = self.on_event(move |e| {
-            if let Ok(tx) = tx.lock() {
-                let _ = tx.send(e.clone());
-            }
-        });
-        (b, rx)
-    }
-
     /// Attach the campaign's stop signal: a hand-cancelled token or a
     /// [`CancelToken::until`] deadline (see [`CancelToken`]).
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
@@ -696,7 +682,7 @@ impl Campaign {
         // Schedule: one rayon task per cell, costliest first. The pool's
         // workers pull cells one at a time, so the longest cells start
         // first and the cheap ones fill in behind them. The verifier's own
-        // recursion fans out further below parallel_depth, so the pool
+        // recursion fans out over its top levels too, so the pool
         // stays busy even for campaigns smaller than the machine.
         let mut indexed: Vec<(usize, PairOutcome)> = costliest_first(&cells)
             .par_iter()
@@ -966,7 +952,6 @@ mod tests {
             split_threshold: 1.25,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
             parallel: false,
-            parallel_depth: 3,
             max_depth: 3,
             pair_deadline_ms: None,
         }
@@ -1015,7 +1000,9 @@ mod tests {
         let blyp = registry.get("BLYP").unwrap();
         let cache = Arc::new(ProblemCache::new());
         let warmed = cache.encode(&lyp, Condition::EcNonPositivity).unwrap();
-        let (builder, rx) = Campaign::builder()
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let report = Campaign::builder()
             .functional(Arc::clone(&blyp))
             .conditions([Condition::EcNonPositivity])
             .config_policy(|f, _| {
@@ -1028,8 +1015,10 @@ mod tests {
             })
             .problem_cache(Arc::clone(&cache))
             .emit_certificates(true)
-            .event_channel();
-        let report = builder.build().unwrap().run();
+            .on_event(move |e| sink.lock().unwrap().push(e.clone()))
+            .build()
+            .unwrap()
+            .run();
         assert_eq!(cache.stats(), (1, 1), "the BLYP cell reused LYP's problem");
         assert_eq!(warmed.functional_name(), "LYP");
         let pair = &report.pairs[0];
@@ -1037,8 +1026,8 @@ mod tests {
         assert!(report.outcome("BLYP", Condition::EcNonPositivity).is_some());
         let cert = pair.certificate.as_ref().expect("replayable certificate");
         assert_eq!(cert.functional, "BLYP");
-        let names: Vec<String> = rx
-            .try_iter()
+        let names: Vec<String> = std::mem::take(&mut *events.lock().unwrap())
+            .into_iter()
             .map(|e| match e {
                 CampaignEvent::PairStarted { functional, .. }
                 | CampaignEvent::CounterexampleFound { functional, .. }
@@ -1175,13 +1164,17 @@ mod tests {
 
     #[test]
     fn event_channel_receives_counterexamples() {
-        let (builder, rx) = Campaign::builder()
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        Campaign::builder()
             .functional(Dfa::Lyp)
             .conditions([Condition::EcNonPositivity])
             .config(quick_config(20_000))
-            .event_channel();
-        builder.build().unwrap().run();
-        let events: Vec<CampaignEvent> = rx.try_iter().collect();
+            .on_event(move |e| sink.lock().unwrap().push(e.clone()))
+            .build()
+            .unwrap()
+            .run();
+        let events = events.lock().unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, CampaignEvent::CounterexampleFound { .. })));

@@ -16,7 +16,7 @@ use crate::encoder::EncodedProblem;
 use crate::region::RegionStatus;
 use crate::verifier::{RunOutput, VerifierConfig};
 use xcv_cert::{CertEvent, CertRegion, CertVerdict, Certificate};
-use xcv_solver::{Rel, TraceEvent};
+use xcv_solver::{Rel, TraceEvent, HC4_ROUNDS, NEWTON_SWEEPS};
 
 fn cert_rel(rel: Rel) -> xcv_cert::Rel {
     match rel {
@@ -108,7 +108,7 @@ pub fn build_certificate(
     // solver's rung 1 ran on) so the checker can replay Newton steps
     // through the shared driver.
     let newton = ladder.then(|| xcv_cert::NewtonSection {
-        sweeps: config.solver.escalation.newton_sweeps,
+        sweeps: NEWTON_SWEEPS,
         atoms: compiled
             .newton_portable()
             .into_iter()
@@ -119,7 +119,7 @@ pub fn build_certificate(
         functional: problem.functional_name(),
         condition: format!("{:?}", problem.condition),
         delta: config.solver.delta,
-        max_rounds: compiled.max_rounds(),
+        max_rounds: HC4_ROUNDS,
         tape: compiled.interval_tape().to_portable(),
         atom_rels: compiled.atom_rels().into_iter().map(cert_rel).collect(),
         // ψ and ¬ψ share atom 0's expression and differ only in relation

@@ -1,24 +1,17 @@
 //! Reproduction presets: the verifier configurations behind the `repro`,
 //! `xcverify`, and `xcvserve` binaries.
 //!
-//! These lived in `xcv-bench` while only the CLI tools consumed them; the
-//! verification daemon moved them here so that a server answering a
-//! "gate-policy" query derives the *same* per-functional configuration the
-//! in-process CLI path derives — parity by construction, not by keeping
-//! two copies in sync. `xcv-bench` re-exports every function, so existing
-//! `xcv_bench::repro_config(...)` call sites are unaffected.
+//! They live here, beside the verifier, so that the verification daemon
+//! answering a "gate-policy" query derives the *same* per-functional
+//! configuration the in-process CLI path derives — parity by construction,
+//! not by keeping two copies in sync.
 
-use crate::{Verifier, VerifierConfig};
+use crate::VerifierConfig;
 use xcv_functionals::{Family, Functional};
 use xcv_solver::{DeltaSolver, SolveBudget};
 
 /// Verifier preset for reproduction runs: per-box wall-clock budget in
 /// milliseconds, recursion floor `t`, and a depth cap.
-pub fn repro_verifier(budget_ms: u64, threshold: f64, max_depth: u32) -> Verifier {
-    Verifier::new(repro_config(budget_ms, threshold, max_depth))
-}
-
-/// The [`VerifierConfig`] behind [`repro_verifier`], for campaign builders.
 pub fn repro_config(budget_ms: u64, threshold: f64, max_depth: u32) -> VerifierConfig {
     VerifierConfig {
         split_threshold: threshold,
@@ -30,7 +23,6 @@ pub fn repro_config(budget_ms: u64, threshold: f64, max_depth: u32) -> VerifierC
             },
         ),
         parallel: true,
-        parallel_depth: 3,
         max_depth,
         // Bound each pair's total run at 400x the per-box budget: enough for
         // several recursion levels, small enough that broad-timeout cells
@@ -54,9 +46,4 @@ pub fn config_for(f: &dyn Functional, budget_ms: u64) -> VerifierConfig {
         Family::Gga => repro_config(budget_ms, 0.15, 6),
         Family::MetaGga => repro_config(budget_ms, 0.625, 3),
     }
-}
-
-/// Per-family verifier for single-pair runs (the pre-campaign API).
-pub fn verifier_for(f: &dyn Functional, budget_ms: u64) -> Verifier {
-    Verifier::new(config_for(f, budget_ms))
 }

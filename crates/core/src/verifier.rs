@@ -13,13 +13,23 @@ use crate::region::{Region, RegionMap, RegionStatus};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::time::Instant;
-use xcv_solver::{BoxDomain, DeltaSolver, Outcome, SolveScratch, SolveStats, SolveTrace};
+use xcv_solver::{
+    BoxDomain, DeltaSolver, Escalation, Outcome, SolveScratch, SolveStats, SolveTrace,
+};
 
 thread_local! {
     /// Per-worker solver scratch. Buffers grow to the largest problem the
     /// thread has seen and are reused verbatim afterwards.
     static SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::new());
 }
+
+/// How deep into the recursion new rayon tasks are spawned (when
+/// [`VerifierConfig::parallel`] is set): levels with `depth <=
+/// PARALLEL_DEPTH` fan out across the pool, deeper sub-boxes run
+/// sequentially on the worker that produced them. With `split_all`
+/// producing 2^ndim children per level, the first few levels already
+/// saturate the machine, and deeper spawning only adds scheduling overhead.
+const PARALLEL_DEPTH: u32 = 3;
 
 /// Configuration of the verifier.
 #[derive(Clone, Debug)]
@@ -28,15 +38,8 @@ pub struct VerifierConfig {
     pub split_threshold: f64,
     /// The δ-complete solver (δ and per-box budget).
     pub solver: DeltaSolver,
-    /// Fan the recursion out over rayon's thread pool.
+    /// Fan the top levels of the recursion out over rayon's thread pool.
     pub parallel: bool,
-    /// How deep into the recursion new rayon tasks are spawned (when
-    /// `parallel` is set): levels with `depth <= parallel_depth` fan out
-    /// across the pool, deeper sub-boxes run sequentially on the worker
-    /// that produced them. With `split_all` producing 2^ndim children per
-    /// level, the first few levels already saturate the machine, and
-    /// deeper spawning only adds scheduling overhead.
-    pub parallel_depth: u32,
     /// Cap on the recursion depth (safety net; the width floor normally
     /// terminates first).
     pub max_depth: u32,
@@ -52,7 +55,6 @@ impl Default for VerifierConfig {
             split_threshold: 0.05,
             solver: DeltaSolver::default(),
             parallel: true,
-            parallel_depth: 3,
             max_depth: 12,
             pair_deadline_ms: None,
         }
@@ -62,10 +64,10 @@ impl Default for VerifierConfig {
 impl VerifierConfig {
     /// A stable 64-bit fingerprint of every field that can change a run's
     /// *verdict or coverage*: the recursion floor, depth cap, pair
-    /// deadline, and the full [`DeltaSolver::fingerprint`]. `parallel` /
-    /// `parallel_depth` are deliberately excluded — they re-order work
-    /// without changing any region or mark, and a memoized result must
-    /// stay valid across machines with different core counts.
+    /// deadline, and the full [`DeltaSolver::fingerprint`]. `parallel` is
+    /// deliberately excluded — it re-orders work without changing any
+    /// region or mark, and a memoized result must stay valid across
+    /// machines with different core counts.
     pub fn fingerprint(&self) -> u64 {
         // Destructured without `..`: a new field does not compile until it
         // is hashed here or named below as one that cannot change a mark.
@@ -73,7 +75,6 @@ impl VerifierConfig {
             split_threshold,
             solver,
             parallel: _,
-            parallel_depth: _,
             max_depth,
             pair_deadline_ms,
         } = self;
@@ -240,10 +241,12 @@ impl Verifier {
             // mark never regresses.
             let esc = self.config.solver.escalation;
             let mut solver = self.config.solver.clone();
-            solver.escalation = xcv_solver::Escalation::off();
+            solver.escalation = Escalation::Off;
             let (mut outcome, box_stats, mut trace) = run(&solver, &mut scratch);
             stats.absorb(box_stats);
-            if esc.max_rung > 0 && matches!(outcome, Outcome::Timeout) && !self.past_deadline(start)
+            if esc != Escalation::Off
+                && matches!(outcome, Outcome::Timeout)
+                && !self.past_deadline(start)
             {
                 solver.escalation = esc;
                 let (o, bs, t) = run(&solver, &mut scratch);
@@ -275,8 +278,7 @@ impl Verifier {
             return (leaf(status, trace), stats);
         }
         let children = d.split_all();
-        let (regions, child_stats) = if self.config.parallel && depth <= self.config.parallel_depth
-        {
+        let (regions, child_stats) = if self.config.parallel && depth <= PARALLEL_DEPTH {
             children
                 .par_iter()
                 .map(|c| self.go(c, problem, depth + 1, start, opts))
@@ -317,7 +319,6 @@ mod tests {
             split_threshold: 0.6, // coarse for test speed
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(budget_nodes)),
             parallel: false,
-            parallel_depth: 3,
             max_depth: 6,
             pair_deadline_ms: None,
         })
@@ -327,16 +328,15 @@ mod tests {
     fn fingerprint_covers_exactly_the_mark_changing_fields() {
         let base = quick_verifier(800).config;
         let fp = base.fingerprint();
-        // The parallelism knobs only re-order work, so they must not move
-        // the fingerprint.
+        // `parallel` only re-orders work, so it must not move the
+        // fingerprint.
         type Change = (&'static str, bool, fn(&mut VerifierConfig));
-        let changes: [Change; 6] = [
+        let changes: [Change; 5] = [
             ("split_threshold", true, |c| c.split_threshold = 0.3),
             ("max_depth", true, |c| c.max_depth = 7),
             ("pair_deadline_ms", true, |c| c.pair_deadline_ms = Some(400)),
             ("solver", true, |c| c.solver.delta = 2e-3),
             ("parallel", false, |c| c.parallel = !c.parallel),
-            ("parallel_depth", false, |c| c.parallel_depth = 5),
         ];
         for (field, hashed, change) in changes {
             let mut changed = base.clone();
@@ -376,7 +376,6 @@ mod tests {
             split_threshold: 2.0,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(0)),
             parallel: false,
-            parallel_depth: 3,
             max_depth: 3,
             pair_deadline_ms: None,
         });
@@ -414,7 +413,6 @@ mod tests {
             split_threshold: 0.3,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(1_000)),
             parallel: false,
-            parallel_depth: 3,
             max_depth: 8,
             pair_deadline_ms: Some(1),
         });

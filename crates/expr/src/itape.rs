@@ -9,13 +9,13 @@
 //! `u32` slot indices) and then runs every pass over a caller-owned slot file:
 //!
 //! * [`IntervalTape::forward`] — natural interval extension of every node;
-//! * [`IntervalTape::forward_masked`] / [`IntervalTape::forward_from`] —
-//!   *dirty-slot* re-evaluation: using the per-slot variable **dependency
-//!   bitsets** computed at compile time ([`IntervalTape::deps`]), recompute
-//!   only the slots downstream of the changed axes. The escalation ladder's
-//!   3B slab shaver probes one box face at a time this way: a slab differs
-//!   from the box only along one axis, so every slot outside that axis'
-//!   dependency cone keeps its (already computed, bit-identical) enclosure;
+//! * [`IntervalTape::forward_masked`] — *dirty-slot* re-evaluation: using
+//!   the per-slot variable **dependency bitsets** computed at compile time
+//!   ([`IntervalTape::deps`]), recompute only the slots downstream of the
+//!   changed axes. The escalation ladder's 3B slab shaver probes one box
+//!   face at a time this way: a slab differs from the box only along one
+//!   axis, so every slot outside that axis' dependency cone keeps its
+//!   (already computed, bit-identical) enclosure;
 //! * [`IntervalTape::forward_from_image`] — the same re-evaluation into a
 //!   fresh slot file, seeded from another box's forward image, with the
 //!   changed axes found by comparing the new box against that image's
@@ -396,7 +396,7 @@ impl IntervalTape {
     /// every pass is write-before-read, so the previous box's values never
     /// leak and no reinitialization between boxes is needed (the fill value
     /// here only seeds never-written slots of *partial* passes, which read
-    /// their stale value by design — see [`IntervalTape::forward_from`]).
+    /// their stale value by design — see [`IntervalTape::forward_masked`]).
     pub fn scratch(&self) -> Vec<Interval> {
         vec![Interval::ENTIRE; self.code.len()]
     }
@@ -417,22 +417,15 @@ impl IntervalTape {
     }
 
     /// Dirty-slot forward pass: recompute only the slots whose dependency
-    /// cone contains `axis`, leaving every other slot untouched.
+    /// set intersects the axis bitmask `mask`, leaving every other slot
+    /// untouched.
     ///
     /// Precondition: `vals` holds the forward image of a box that agrees
-    /// with `domains` on every variable except (possibly) `axis` — i.e. the
-    /// parent's slot file after bisecting `axis`. Under that precondition
-    /// the result is bit-identical to a full [`IntervalTape::forward`] over
+    /// with `domains` on every variable outside `mask` — e.g. the parent's
+    /// slot file after bisecting one axis. Under that precondition the
+    /// result is bit-identical to a full [`IntervalTape::forward`] over
     /// `domains`: skipped slots have unchanged inputs, and recomputed slots
     /// read either recomputed or unchanged operands, in program order.
-    pub fn forward_from(&self, axis: u32, domains: &[Interval], vals: &mut [Interval]) {
-        self.forward_masked(var_bit(axis), domains, vals);
-    }
-
-    /// [`IntervalTape::forward_from`] generalized to a set of axes:
-    /// recompute the slots whose dependency set intersects `mask`. The
-    /// precondition generalizes accordingly — `vals` must be a valid
-    /// forward image of a box agreeing with `domains` outside `mask`.
     /// (Constant slots are box-independent and are never recomputed, so
     /// this never substitutes for a first full [`IntervalTape::forward`].)
     pub fn forward_masked(&self, mask: u64, domains: &[Interval], vals: &mut [Interval]) {
@@ -1052,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_from_matches_full_forward_bitwise() {
+    fn dirty_slot_passes_match_full_forward_bitwise() {
         // A DAG mixing per-axis cones and shared nodes; rebisect each axis
         // in turn and check the dirty-slot passes reproduce the full pass
         // bit for bit (`PartialEq` on Interval is IEEE equality, which
@@ -1072,13 +1065,13 @@ mod tests {
             child[axis as usize] = interval(lo, 0.5 * (lo + hi));
             // Dirty-slot passes from the parent image...
             let mut partial = vals.clone();
-            tape.forward_from(axis, &child, &mut partial);
+            tape.forward_masked(1 << axis, &child, &mut partial);
             let mut seeded = tape.scratch();
             tape.forward_from_image(&vals, &child, &mut seeded);
             // ...must equal a from-scratch forward pass over the child.
             let mut full = tape.scratch();
             tape.forward(&child, &mut full);
-            assert!(bits(&partial) == bits(&full), "forward_from, axis {axis}");
+            assert!(bits(&partial) == bits(&full), "forward_masked, axis {axis}");
             assert!(
                 bits(&seeded) == bits(&full),
                 "forward_from_image, axis {axis}"

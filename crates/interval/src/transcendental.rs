@@ -7,7 +7,7 @@
 //! `x = 0` boundary (as in LIBXC functional forms, `0^y = 0` for `y > 0`).
 
 use crate::interval::Interval;
-use crate::round::{libm_hi, libm_lo, next, prev};
+use crate::round::{libm_hi, libm_lo, next, next_n, prev, prev_n};
 
 impl Interval {
     /// Enclosure of `e^x`.
@@ -160,7 +160,10 @@ impl Interval {
     /// backward contraction of `powi`). For odd `n` the domain extends to
     /// negatives via odd symmetry. The cube root is libm's `cbrt`, within
     /// [`crate::round::LIBM_SLOP_ULPS`]; other roots take `powf` with the
-    /// rounded exponent `1/n`, whose error that slop does not always cover.
+    /// exponent `1/n`. When `1/n` is not a power of two it is rounded, by at
+    /// most 2⁻⁵³/n relative, which moves `x^(1/n)` by a factor of at most
+    /// `exp(2⁻⁵³·|ln x|/n)`: at most `|ln x|/n` ulps. Those roots are
+    /// widened by `⌈|ln x|/n⌉ + 1` ulps beyond the libm slop.
     pub fn nth_root(&self, n: i32) -> Interval {
         assert!(n > 0);
         if self.is_empty() {
@@ -170,6 +173,7 @@ impl Interval {
             return *self;
         }
         let odd = n % 2 == 1;
+        let inexact = n != 3 && !n.unsigned_abs().is_power_of_two();
         let root = |x: f64| -> f64 {
             if x == f64::INFINITY {
                 f64::INFINITY
@@ -183,14 +187,24 @@ impl Interval {
                 -(-x).powf(1.0 / n as f64)
             }
         };
+        // Ulps the rounded exponent can move the root of `x` by, plus one.
+        let exponent_ulps = |x: f64| -> u32 {
+            if inexact && x != 0.0 && x.is_finite() {
+                (x.abs().ln().abs() / f64::from(n)).ceil() as u32 + 1
+            } else {
+                0
+            }
+        };
+        let lo = |x: f64| prev_n(libm_lo(root(x)), exponent_ulps(x));
+        let hi = |x: f64| next_n(libm_hi(root(x)), exponent_ulps(x));
         if odd {
-            Interval::checked(libm_lo(root(self.lo)), libm_hi(root(self.hi)))
+            Interval::checked(lo(self.lo), hi(self.hi))
         } else {
             let dom = self.intersect(&Interval::new(0.0, f64::INFINITY));
             if dom.is_empty() {
                 return Interval::EMPTY;
             }
-            Interval::checked(libm_lo(root(dom.lo)).max(0.0), libm_hi(root(dom.hi)))
+            Interval::checked(lo(dom.lo).max(0.0), hi(dom.hi))
         }
     }
 }

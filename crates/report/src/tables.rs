@@ -236,7 +236,6 @@ mod tests {
             split_threshold: 1.25,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(4_000)),
             parallel: true,
-            parallel_depth: 3,
             max_depth: 4,
             pair_deadline_ms: None,
         })

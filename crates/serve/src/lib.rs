@@ -43,16 +43,17 @@
 //!
 //! * problem: `{source_hash:016x}-{condition_id}-{space_fp:016x}`
 //! * result: problem key + `-{config_fp:016x}` where `config_fp` covers
-//!   δ, budget, split threshold, depth cap, and deadline — but *not* the
-//!   parallelism knobs, which cannot change marks.
+//!   δ, budget, escalation rung, split threshold, depth cap, and deadline —
+//!   but *not* `parallel`, which cannot change marks.
 //!
 //! A fingerprint changes whenever its hashed field list does. The solver
-//! fingerprint has lost two hashed fields so far: the batch width (the
-//! solver has one search engine) and the rung-0 mean-value switch (its
-//! first-order math runs only as the ladder's rung-1 Newton). After each
-//! removal every result a store persisted before it misses once and is
-//! recomputed under its new key. An old file is never served for a new
-//! key.
+//! fingerprint has lost hashed fields three times so far: the batch width
+//! (the solver has one search engine), the rung-0 mean-value switch (its
+//! first-order math runs only as the ladder's rung-1 Newton), and the
+//! ladder's seven tuning values (constants of the solver now; the rung is
+//! the ladder's one setting). After each removal every result a store
+//! persisted before it misses once and is recomputed under its new key.
+//! An old file is never served for a new key.
 //!
 //! ## Operations & failure modes
 //!

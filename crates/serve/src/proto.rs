@@ -104,7 +104,6 @@ impl Policy {
                 split_threshold,
                 solver: DeltaSolver::new(delta, SolveBudget::nodes(max_nodes)),
                 parallel: false,
-                parallel_depth: 0,
                 max_depth,
                 pair_deadline_ms: None,
             },

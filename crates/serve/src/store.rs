@@ -56,9 +56,9 @@ const PERSIST_BACKOFF: Duration = Duration::from_millis(10);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResultKey {
     pub problem: ProblemKey,
-    /// `VerifierConfig::fingerprint()` — covers the solver's δ, budget,
-    /// split threshold, depth cap, and deadline; excludes the
-    /// parallelism knobs, which cannot change marks.
+    /// `VerifierConfig::fingerprint()` — covers the solver's δ, budget and
+    /// escalation rung, the split threshold, depth cap, and deadline;
+    /// excludes `parallel`, which cannot change marks.
     pub config_fp: u64,
 }
 

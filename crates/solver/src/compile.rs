@@ -28,6 +28,21 @@ use std::sync::OnceLock;
 use xcv_expr::{IntervalTape, Tape, VarSpace};
 use xcv_interval::Interval;
 
+/// Forward/backward rounds per HC4 contraction of a search node.
+/// Certificates record it, and the checker replays each contraction with
+/// it.
+pub const HC4_ROUNDS: usize = 3;
+
+/// Interval-Newton Gauss–Seidel sweeps per rung-1 call. Certificates
+/// record it, and the checker replays each Newton step with it.
+pub const NEWTON_SWEEPS: usize = 2;
+
+/// Relative slab width the rung-2 shaver probes at each box face.
+const SHAVE_FRAC: f64 = 0.0625;
+
+/// Maximum consecutive slabs shaved per face and rung-2 call.
+const SHAVE_PASSES: u32 = 5;
+
 /// Global count of compilations — formulas, atoms, and lazily-built
 /// Newton gradient programs — for the compile-once tests: solving N boxes
 /// against one [`CompiledFormula`] must not move it.
@@ -63,10 +78,6 @@ impl CompiledAtom {
             root: roots[0],
             rel: atom.rel,
         }
-    }
-
-    pub fn rel(&self) -> Rel {
-        self.rel
     }
 
     /// Exact satisfaction at a point, reusing a caller-owned f64 buffer
@@ -137,8 +148,6 @@ pub struct CompiledFormula {
     /// it can never affect satisfaction, so the solver neither splits them
     /// nor lets their width keep a box from being δ-decided.
     support: u64,
-    /// Forward/backward rounds per HC4 contraction call.
-    max_rounds: usize,
     /// The Newton gradient program, one [`GradientAtom`] per atom.
     gradients: OnceLock<Vec<GradientAtom>>,
 }
@@ -153,7 +162,6 @@ impl Clone for CompiledFormula {
             ftape: self.ftape.clone(),
             atoms: self.atoms.clone(),
             support: self.support,
-            max_rounds: self.max_rounds,
             gradients: OnceLock::new(),
         }
     }
@@ -197,7 +205,6 @@ impl CompiledFormula {
             ftape,
             atoms,
             support,
-            max_rounds: 3,
             gradients: OnceLock::new(),
         }
     }
@@ -255,11 +262,6 @@ impl CompiledFormula {
     /// constrains `interval_tape()` root `i`).
     pub fn atom_rels(&self) -> Vec<Rel> {
         self.atoms.iter().map(|a| a.rel).collect()
-    }
-
-    /// Forward/backward rounds the search's contraction of a node runs.
-    pub fn max_rounds(&self) -> usize {
-        self.max_rounds
     }
 
     /// Bitmask of the variables the compiled program mentions — the
@@ -391,7 +393,7 @@ impl CompiledFormula {
     /// HC4-revise contraction of `b` against the formula, from a full
     /// forward pass, in up to `max_rounds` forward/backward rounds (the
     /// ablation benchmarks sweep the count; the search runs
-    /// [`CompiledFormula::max_rounds`]).
+    /// [`HC4_ROUNDS`]).
     ///
     /// The per-slot dirty flags live in [`SolveScratch`]: cleared after the
     /// box's forward pass (every slot then holds its forward image), set at
@@ -443,7 +445,7 @@ impl CompiledFormula {
         }
         ensure_slots(&mut scratch.ivals, n);
         scratch.ivals.copy_from_slice(image);
-        self.hc4_rounds(b, scratch, self.max_rounds)
+        self.hc4_rounds(b, scratch, HC4_ROUNDS)
     }
 
     /// The HC4 round loop shared by both contractions: `scratch.ivals` holds
@@ -536,17 +538,13 @@ impl CompiledFormula {
         })
     }
 
-    /// Rung-1 contractor of the escalation ladder: interval-Newton (Gauss–
-    /// Seidel) sweeps over the gradient program's tapes, through the
-    /// *shared* [`xcv_expr::newton::newton_contract`] driver — the same
-    /// function the certificate checker replays, so recorded `Newton` steps
-    /// verify bitwise. `None` when a row solve proves the box infeasible.
-    pub fn newton_contract(
-        &self,
-        b: &BoxDomain,
-        sweeps: usize,
-        scratch: &mut SolveScratch,
-    ) -> Option<BoxDomain> {
+    /// Rung-1 contractor of the escalation ladder: [`NEWTON_SWEEPS`]
+    /// interval-Newton (Gauss–Seidel) sweeps over the gradient program's
+    /// tapes, through the *shared* [`xcv_expr::newton::newton_contract`]
+    /// driver — the same function the certificate checker replays, so
+    /// recorded `Newton` steps verify bitwise. `None` when a row solve
+    /// proves the box infeasible.
+    pub fn newton_contract(&self, b: &BoxDomain, scratch: &mut SolveScratch) -> Option<BoxDomain> {
         // Overflow atoms (a variable beyond the space) carry no first-order
         // information; axes beyond the *box* are skipped by the driver.
         let atoms: Vec<xcv_expr::newton::NewtonAtom<'_>> = self
@@ -564,7 +562,7 @@ impl CompiledFormula {
         if !xcv_expr::newton::newton_contract(
             &atoms,
             &mut scratch.newton_dims,
-            sweeps,
+            NEWTON_SWEEPS,
             &mut scratch.newton,
         ) {
             return None;
@@ -594,17 +592,17 @@ impl CompiledFormula {
     }
 
     /// Rung-2 contractor: 3B/CID slab shaving. Probes a slab of relative
-    /// width `frac` at each face of every supported axis (low face first,
-    /// then high, axes ascending — the order is part of the certificate
-    /// contract) with a dirty-cone forward pass; a slab on which some
-    /// atom's enclosure misses its allowed set entirely contains no
-    /// solution, so the box shrinks to the complement. Each face is probed
-    /// up to `passes` times with the slab fraction *doubling* after every
-    /// successful shave (capped at half the remaining width — CID-style
-    /// dichotomy, so a deeply infeasible face region is consumed in
-    /// logarithmically few probes), stopping at the first feasible-looking
-    /// slab. Shaving only ever narrows (a slab is strictly smaller than its
-    /// axis); it never empties the box.
+    /// width `SHAVE_FRAC` at each face of every supported axis (low face
+    /// first, then high, axes ascending — the order is part of the
+    /// certificate contract) with a dirty-cone forward pass; a slab on
+    /// which some atom's enclosure misses its allowed set entirely contains
+    /// no solution, so the box shrinks to the complement. Each face is
+    /// probed up to `SHAVE_PASSES` times with the slab fraction *doubling*
+    /// after every successful shave (capped at half the remaining width —
+    /// CID-style dichotomy, so a deeply infeasible face region is consumed
+    /// in logarithmically few probes), stopping at the first
+    /// feasible-looking slab. Shaving only ever narrows (a slab is strictly
+    /// smaller than its axis); it never empties the box.
     /// `on_shave` is called per shaved slab with
     /// `(axis, high_face, new_bound)` — the trace hook. Returns `None`
     /// when nothing shaved.
@@ -612,8 +610,6 @@ impl CompiledFormula {
         &self,
         b: &BoxDomain,
         scratch: &mut SolveScratch,
-        frac: f64,
-        passes: u32,
         mut on_shave: impl FnMut(u32, bool, f64),
     ) -> Option<BoxDomain> {
         let ndim = b.ndim();
@@ -631,8 +627,8 @@ impl CompiledFormula {
                 continue;
             }
             for high_face in [false, true] {
-                let mut sf = frac;
-                for _ in 0..passes {
+                let mut sf = SHAVE_FRAC;
+                for _ in 0..SHAVE_PASSES {
                     let d = doms[v];
                     let w = d.width();
                     if !(w.is_finite() && w > 0.0) {
@@ -793,7 +789,7 @@ mod tests {
     fn contract(f: &Formula, b: &BoxDomain) -> BoxDomain {
         let compiled = CompiledFormula::compile(f);
         let mut scratch = SolveScratch::new();
-        match compiled.contract_with_rounds(b, &mut scratch, compiled.max_rounds()) {
+        match compiled.contract_with_rounds(b, &mut scratch, HC4_ROUNDS) {
             Contraction::Box(nb) => nb,
             Contraction::Empty => panic!("{f} is feasible on {b}"),
         }
@@ -850,13 +846,13 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let wide = BoxDomain::from_bounds(&[(0.0, 10.0)]);
         let infeasible = BoxDomain::from_bounds(&[(5.0, 10.0)]);
-        let first = compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds());
+        let first = compiled.contract_with_rounds(&wide, &mut scratch, HC4_ROUNDS);
         assert_eq!(
-            compiled.contract_with_rounds(&infeasible, &mut scratch, compiled.max_rounds()),
+            compiled.contract_with_rounds(&infeasible, &mut scratch, HC4_ROUNDS),
             Contraction::Empty
         );
         assert_eq!(
-            compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds()),
+            compiled.contract_with_rounds(&wide, &mut scratch, HC4_ROUNDS),
             first
         );
     }
@@ -903,8 +899,8 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let wide = BoxDomain::from_bounds(&[(0.0, 3.0), (0.0, 5.0), (0.0, 3.0)]);
         assert_eq!(
-            compiled.contract_with_rounds(&wide, &mut scratch, compiled.max_rounds()),
-            anon.contract_with_rounds(&wide, &mut scratch, anon.max_rounds())
+            compiled.contract_with_rounds(&wide, &mut scratch, HC4_ROUNDS),
+            anon.contract_with_rounds(&wide, &mut scratch, HC4_ROUNDS)
         );
     }
 
@@ -912,9 +908,8 @@ mod tests {
     fn newton_contract_covers_the_first_order_cases() {
         use xcv_expr::AxisKind;
         let mut scratch = SolveScratch::new();
-        let sweeps = crate::Escalation::full().newton_sweeps;
         let mut newton = |f: &CompiledFormula, bounds: &[(f64, f64)]| {
-            f.newton_contract(&BoxDomain::from_bounds(bounds), sweeps, &mut scratch)
+            f.newton_contract(&BoxDomain::from_bounds(bounds), &mut scratch)
         };
         let le =
             |e: xcv_expr::Expr| CompiledFormula::compile(&Formula::single(Atom::new(e, Rel::Le)));

@@ -33,14 +33,14 @@ pub enum Contraction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{CompiledFormula, SolveScratch};
+    use crate::compile::{CompiledFormula, SolveScratch, HC4_ROUNDS};
     use crate::formula::{Atom, Formula, Rel};
     use xcv_expr::{constant, var};
 
     /// Contract `b` against `f` with the search's round count.
     fn contract_once(f: &Formula, b: &BoxDomain) -> Contraction {
         let compiled = CompiledFormula::compile(f);
-        compiled.contract_with_rounds(b, &mut SolveScratch::new(), compiled.max_rounds())
+        compiled.contract_with_rounds(b, &mut SolveScratch::new(), HC4_ROUNDS)
     }
 
     /// Contract the point box `[x, x]` for `x = k·step`, `k = 100, 200, …,
@@ -54,7 +54,7 @@ mod tests {
             for k in (100..=200_000).step_by(100) {
                 let x = f64::from(k) * step;
                 let b = BoxDomain::from_bounds(&[(x, x)]);
-                let c = compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds());
+                let c = compiled.contract_with_rounds(&b, &mut scratch, HC4_ROUNDS);
                 assert_ne!(c, Contraction::Empty, "{f} proven empty at x = {x:e}");
             }
         }
@@ -270,12 +270,14 @@ mod tests {
     }
 
     #[test]
-    fn cube_root_backward_keeps_every_point() {
-        // x³ + 1e300 ≥ 0 and x⁻³ + 1e300 ≥ 0 hold at every sampled point.
-        // A cube root taken as `powf` with the rounded exponent 1/3 misses
-        // the exact root by more than the slop and proves points empty.
-        for e in [var(0).powi(3) + 1e300, var(0).powi(-3) + 1e300] {
-            let f = Formula::single(Atom::new(e, Rel::Ge));
+    fn root_backward_keeps_every_point() {
+        // xⁿ + 1e300 ≥ 0 holds at every sampled point, for each exponent
+        // whose inverse takes a root other than a square root. A root taken
+        // as `powf` with the rounded exponent 1/n misses the exact root by
+        // more than the slop and proves points empty (n = −3 and −5 recurse
+        // into the cube and fifth roots).
+        for n in [3, -3, 5, 6, 7, -5] {
+            let f = Formula::single(Atom::new(var(0).powi(n) + 1e300, Rel::Ge));
             assert_no_point_box_empties(&f, &[1.7, -1.3, 1e-3]);
         }
     }

@@ -43,34 +43,38 @@
 //! with the node budget spent on splits that never decide. [`Escalation`]
 //! replaces the flat budget with a per-box ladder:
 //!
-//! * **rung 0** — the always-on HC4 round; boxes that contract well never
-//!   escalate and behave exactly as with the ladder off;
-//! * **rung 1** — interval-Newton (Gauss–Seidel) sweeps over the compiled
-//!   per-axis gradient tapes ([`xcv_expr::newton`]), entered when the
-//!   rung-0 contraction gain falls below [`Escalation::stall_gain`]. The
-//!   mean-value enclosure test refutes boxes the natural extension cannot,
-//!   and the row solves cut boxes where a gradient has constant sign;
-//! * **rung 2** — 3B slab shaving: probe slabs at the box faces and
-//!   re-prove them infeasible with dirty-cone (`forward_masked`) passes,
-//!   narrowing faces HC4 cannot move; successful shaves double the next
-//!   slab (CID-style dichotomy).
+//! * **rung 0** — the always-on HC4 round ([`HC4_ROUNDS`] forward/backward
+//!   rounds); boxes that contract well never escalate and behave exactly as
+//!   with the ladder off;
+//! * **rung 1** ([`Escalation::Newton`] and up) — [`NEWTON_SWEEPS`]
+//!   interval-Newton (Gauss–Seidel) sweeps over the compiled per-axis
+//!   gradient tapes ([`xcv_expr::newton`]), entered when the rung-0
+//!   contraction gain falls below `STALL_GAIN`. The mean-value enclosure
+//!   test refutes boxes the natural extension cannot, and the row solves
+//!   cut boxes where a gradient has constant sign;
+//! * **rung 2** ([`Escalation::Full`] only) — 3B slab shaving: probe slabs
+//!   of relative width `SHAVE_FRAC` at the box faces and re-prove them
+//!   infeasible with dirty-cone (`forward_masked`) passes, narrowing faces
+//!   HC4 cannot move; successful shaves double the next slab (CID-style
+//!   dichotomy), up to `SHAVE_PASSES` slabs per face.
 //!
 //! Escalation is *gated* so it pays for itself: only nodes at depth ≤
-//! [`Escalation::depth_cap`] escalate (a contraction high in the tree is
-//! inherited by its whole subtree; deep stalled nodes are legion and each
-//! matters little), and rung 1 only fires on boxes narrower than
-//! [`Escalation::newton_width_cap`], where the first-order mean-value
-//! enclosure is tight. Subtrees the ladder never touched are *pristine* —
-//! their geometry is bit-identical to the rung-0 search — and skip the
-//! flip-prevention machinery entirely, so arming the ladder costs nothing
-//! on boxes that never stall.
+//! `DEPTH_CAP` escalate (a contraction high in the tree is inherited by its
+//! whole subtree; deep stalled nodes are legion and each matters little),
+//! and rung 1 only fires on boxes no wider than `NEWTON_WIDTH_CAP`, where
+//! the first-order mean-value enclosure is tight. The rung is the ladder's
+//! one setting; its tuning values are constants of the solver (private
+//! ones in its `solve` and `compile` modules). Subtrees the ladder never
+//! touched are *pristine* — their geometry is bit-identical to the rung-0
+//! search — and skip the flip-prevention machinery entirely, so arming the
+//! ladder costs nothing on boxes that never stall.
 //!
 //! ```
 //! use xcv_solver::{DeltaSolver, Escalation, SolveBudget};
 //!
 //! // The ladder is off by default; turn it on per solver.
 //! let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(800))
-//!     .with_escalation(Escalation::full());
+//!     .with_escalation(Escalation::Full);
 //! # let _ = solver;
 //! ```
 //!
@@ -78,10 +82,10 @@
 //! step, `step_after_contract`, and every ladder decision is replayable:
 //! Newton prunes/contractions and shaved slabs are recorded as
 //! [`TraceEvent`]s and serialize into `xcv-cert` certificates the
-//! solver-free checker re-derives. Campaigns opt in with
-//! `CampaignBuilder::escalation`; the verifier then runs the ladder only as
-//! a retry of a box whose rung-0 solve timed out, so a box that never stalls
-//! never pays for it.
+//! solver-free checker re-derives. A verifier arms the ladder through its
+//! config's solver (`xcverify --ladder`); it then runs the ladder only as
+//! a retry of a box whose rung-0 solve timed out, so a box that never
+//! stalls never pays for it.
 //!
 //! Soundness invariant: a box is discarded only when interval reasoning
 //! *proves* it contains no solution — HC4, the Newton enclosure/row
@@ -96,7 +100,9 @@ mod formula;
 mod solve;
 
 pub use boxdom::BoxDomain;
-pub use compile::{compile_count, CompiledAtom, CompiledFormula, SolveScratch};
+pub use compile::{
+    compile_count, CompiledAtom, CompiledFormula, SolveScratch, HC4_ROUNDS, NEWTON_SWEEPS,
+};
 pub use formula::{Atom, Formula, Rel};
 pub use solve::{
     DeltaSolver, Escalation, Outcome, SolveBudget, SolveStats, SolveTrace, TraceEvent,

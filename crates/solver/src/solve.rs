@@ -105,84 +105,44 @@ impl SolveStats {
 
 /// The contractor escalation ladder: what a *stalled* box gets instead of
 /// burning its budget on bisection. Rung 0 is the always-on HC4 round; a
-/// box whose rung-0 contraction gain falls below [`Escalation::stall_gain`]
-/// escalates to rung 1 — interval-Newton (Gauss–Seidel) sweeps over the
-/// compiled gradient tapes, the solver's one first-order (mean-value)
-/// contractor — and, still stalled, to rung 2 — 3B slab shaving at the box
-/// faces with dirty-cone re-evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Escalation {
-    /// Highest rung a box may escalate to (`0` = ladder off, the default;
-    /// `1` = Newton; `2` = Newton + 3B shaving).
-    pub max_rung: u8,
-    /// Contraction gain (relative width reduction, max over axes) below
-    /// which a box counts as stalled and escalates.
-    pub stall_gain: f64,
-    /// Interval-Newton Gauss–Seidel sweeps per rung-1 call.
-    pub newton_sweeps: usize,
-    /// Relative slab width the rung-2 shaver probes at each box face.
-    pub shave_frac: f64,
-    /// Maximum consecutive slabs shaved per face and rung-2 call.
-    pub shave_passes: u32,
-    /// Deepest node (depth within one box's search tree) that may escalate.
-    /// Contractions high in the tree are inherited by whole subtrees, so
-    /// they carry almost all of the ladder's pruning power; deep stalled
-    /// nodes are legion and each matters little, so escalating them buys
-    /// timeouts back at a ruinous wall-clock price. (The sub-δ
-    /// flip-prevention machinery is *not* depth-gated — soundness of the
-    /// δ-decision must hold wherever the search lands.)
-    pub depth_cap: u32,
-    /// Shave only every `shave_stride`-th depth level (`depth %
-    /// shave_stride == 0`). Rung 2 is paid per *stalled node*, and in a
-    /// timeout-bound subtree nearly every node stalls. Its cost is the
-    /// dirty-cone probes more than the full forward pass that seeds each
-    /// `shave_3b` call: in `solver_bench --extended`'s ladder mode (2-vCPU
-    /// host), 425,093 probe passes over 35,423 calls took 2,161 of rung
-    /// 2's 2,551 ms, and the seed passes 344 ms. A stride keeps the
-    /// coverage of the whole depth range (unlike a hard cap) at `1/stride`
-    /// of the cost: a slab missed at depth `d` is re-probed two levels
-    /// down on the narrowed child, where it is more likely infeasible
-    /// anyway.
-    pub shave_stride: u32,
-    /// Widest box (max supported-axis width) rung 1 attempts. The
-    /// mean-value enclosure behind interval-Newton is first-order tight,
-    /// so on wide boxes the gradient ranges blow up and the sweeps are
-    /// expensive no-ops; wide stalled boxes skip straight to rung-2
-    /// shaving, whose dirty-cone probes stay cheap at any width.
-    pub newton_width_cap: f64,
+/// box whose rung-0 contraction gain falls below `STALL_GAIN` escalates to
+/// rung 1 — interval-Newton (Gauss–Seidel) sweeps over the compiled
+/// gradient tapes, the solver's one first-order (mean-value) contractor —
+/// and, still stalled, to rung 2 — 3B slab shaving at the box faces with
+/// dirty-cone re-evaluation. The variants are the highest rung a box may
+/// escalate to, in rung order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum Escalation {
+    /// Ladder off (the default): rung-0 behaviour, bit-identical to the
+    /// pre-ladder solver.
+    #[default]
+    Off,
+    /// Rung 1 only: Newton sweeps, no shaving.
+    Newton,
+    /// The full ladder: Newton, then 3B shaving (see `solver_bench`'s
+    /// `ladder` mode for the measured trajectory of its constants).
+    Full,
 }
 
-impl Escalation {
-    /// Ladder disabled: rung-0 behaviour, bit-identical to the pre-ladder
-    /// solver.
-    pub fn off() -> Escalation {
-        Escalation {
-            max_rung: 0,
-            ..Escalation::full()
-        }
-    }
+/// Contraction gain (relative width reduction, max over axes) below which
+/// a box counts as stalled and escalates.
+const STALL_GAIN: f64 = 0.25;
 
-    /// The full ladder with the fitted defaults (see `solver_bench`'s
-    /// `ladder` mode for the measured trajectory).
-    pub fn full() -> Escalation {
-        Escalation {
-            max_rung: 2,
-            stall_gain: 0.25,
-            newton_sweeps: 2,
-            shave_frac: 0.0625,
-            shave_passes: 5,
-            depth_cap: 8,
-            shave_stride: 1,
-            newton_width_cap: 0.25,
-        }
-    }
-}
+/// Deepest node (depth within one box's search tree) that may escalate.
+/// Contractions high in the tree are inherited by whole subtrees, so they
+/// carry almost all of the ladder's pruning power; deep stalled nodes are
+/// legion and each matters little, so escalating them buys timeouts back
+/// at a ruinous wall-clock price. (The sub-δ flip-prevention machinery is
+/// *not* depth-gated — soundness of the δ-decision must hold wherever the
+/// search lands.)
+const DEPTH_CAP: u32 = 8;
 
-impl Default for Escalation {
-    fn default() -> Self {
-        Escalation::off()
-    }
-}
+/// Widest box (max supported-axis width) rung 1 attempts. The mean-value
+/// enclosure behind interval-Newton is first-order tight, so on wide boxes
+/// the gradient ranges blow up and the sweeps are expensive no-ops; wide
+/// stalled boxes skip straight to rung-2 shaving, whose dirty-cone probes
+/// stay cheap at any width.
+const NEWTON_WIDTH_CAP: f64 = 0.25;
 
 /// The δ-complete solver: HC4 contraction + depth-first branch-and-prune.
 #[derive(Debug, Clone)]
@@ -203,7 +163,7 @@ impl Default for DeltaSolver {
         DeltaSolver {
             delta: 1e-3,
             budget: SolveBudget::default(),
-            escalation: Escalation::off(),
+            escalation: Escalation::Off,
         }
     }
 }
@@ -292,7 +252,7 @@ impl DeltaSolver {
         DeltaSolver {
             delta,
             budget,
-            escalation: Escalation::off(),
+            escalation: Escalation::Off,
         }
     }
 
@@ -303,11 +263,11 @@ impl DeltaSolver {
     }
 
     /// A stable 64-bit fingerprint of every field that can change a solve's
-    /// *answer or coverage*: δ, both budget axes, and the full escalation
-    /// ladder — every field the solver has. Two solvers with equal
-    /// fingerprints produce bit-identical outcomes on any compiled problem,
-    /// so memoized result stores key on this (FNV-1a over the exact bit
-    /// patterns — no float rounding in the key).
+    /// *answer or coverage*: δ, both budget axes, and the escalation rung —
+    /// every field the solver has. Two solvers with equal fingerprints
+    /// produce bit-identical outcomes on any compiled problem, so memoized
+    /// result stores key on this (FNV-1a over the exact bit patterns — no
+    /// float rounding in the key).
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -320,17 +280,7 @@ impl DeltaSolver {
                     max_nodes,
                     max_millis,
                 },
-            escalation:
-                Escalation {
-                    max_rung,
-                    stall_gain,
-                    newton_sweeps,
-                    shave_frac,
-                    shave_passes,
-                    depth_cap,
-                    shave_stride,
-                    newton_width_cap,
-                },
+            escalation,
         } = self;
         let mut h = OFFSET;
         let mut eat = |v: u64| {
@@ -342,14 +292,7 @@ impl DeltaSolver {
         eat(delta.to_bits());
         eat(*max_nodes);
         eat(*max_millis);
-        eat(u64::from(*max_rung));
-        eat(stall_gain.to_bits());
-        eat(*newton_sweeps as u64);
-        eat(shave_frac.to_bits());
-        eat(u64::from(*shave_passes));
-        eat(u64::from(*depth_cap));
-        eat(u64::from(*shave_stride));
-        eat(newton_width_cap.to_bits());
+        eat(*escalation as u64);
         h
     }
 
@@ -537,20 +480,20 @@ impl DeltaSolver {
         let esc = self.escalation;
         let rung0_width = compiled.split_width(&contracted);
         let mut laddered = false;
-        if esc.max_rung >= 1
-            && depth <= esc.depth_cap
+        if esc >= Escalation::Newton
+            && depth <= DEPTH_CAP
             && rung0_width > 4.0 * width_floor
-            && crate::compile::improvement(b, &contracted) < esc.stall_gain
+            && crate::compile::improvement(b, &contracted) < STALL_GAIN
         {
             // Rung 1: interval-Newton Gauss–Seidel over the gradient tapes —
             // but only on boxes narrow enough for the first-order mean-value
-            // enclosure to bite (see [`Escalation::newton_width_cap`]).
+            // enclosure to bite (see `NEWTON_WIDTH_CAP`).
             let mut stalled = true;
-            if rung0_width <= esc.newton_width_cap {
-                match compiled.newton_contract(&contracted, esc.newton_sweeps, scratch) {
+            if rung0_width <= NEWTON_WIDTH_CAP {
+                match compiled.newton_contract(&contracted, scratch) {
                     None => return BoxStep::NewtonPruned,
                     Some(nb) => {
-                        stalled = crate::compile::improvement(&contracted, &nb) < esc.stall_gain;
+                        stalled = crate::compile::improvement(&contracted, &nb) < STALL_GAIN;
                         if nb != contracted {
                             if let Some(ev) = events.as_deref_mut() {
                                 ev.push(TraceEvent::Newton {
@@ -563,15 +506,10 @@ impl DeltaSolver {
                     }
                 }
             }
-            // Rung 2: 3B slab shaving when Newton was skipped or stalled,
-            // on strided depth levels (see [`Escalation::shave_stride`]).
-            if esc.max_rung >= 2 && stalled && depth.is_multiple_of(esc.shave_stride) {
-                if let Some(nb) = compiled.shave_3b(
-                    &contracted,
-                    scratch,
-                    esc.shave_frac,
-                    esc.shave_passes,
-                    |axis, high_face, bound| {
+            // Rung 2: 3B slab shaving when Newton was skipped or stalled.
+            if esc == Escalation::Full && stalled {
+                if let Some(nb) =
+                    compiled.shave_3b(&contracted, scratch, |axis, high_face, bound| {
                         if let Some(ev) = events.as_deref_mut() {
                             ev.push(TraceEvent::Shave {
                                 axis,
@@ -579,8 +517,8 @@ impl DeltaSolver {
                                 bound,
                             });
                         }
-                    },
-                ) {
+                    })
+                {
                     laddered = true;
                     contracted = nb;
                 }
@@ -624,10 +562,7 @@ impl DeltaSolver {
             // Only the empty-proof is used; a mere contraction is discarded
             // (the box is about to be δ-decided either way, and a decision
             // must not move to a different sub-δ box).
-            if compiled
-                .newton_contract(&contracted, esc.newton_sweeps, scratch)
-                .is_none()
-            {
+            if compiled.newton_contract(&contracted, scratch).is_none() {
                 return BoxStep::NewtonPruned;
             }
             // δ-refinement under the ladder: when Newton cannot refute the
@@ -905,7 +840,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let plain = DeltaSolver::new(1e-6, SolveBudget::nodes(200_000));
         let (_, plain_stats) = plain.solve_compiled_with_stats(&b, &compiled, &mut scratch);
-        let ladder = plain.clone().with_escalation(Escalation::full());
+        let ladder = plain.clone().with_escalation(Escalation::Full);
         let (out, stats) = ladder.solve_compiled_with_stats(&b, &compiled, &mut scratch);
         assert_eq!(out, Outcome::Unsat);
         assert!(
@@ -923,7 +858,7 @@ mod tests {
         );
         assert_eq!(
             plain_tight
-                .with_escalation(Escalation::full())
+                .with_escalation(Escalation::Full)
                 .solve_compiled(&b, &compiled, &mut scratch),
             Outcome::Unsat
         );
@@ -939,7 +874,7 @@ mod tests {
         let compiled = CompiledFormula::compile(&f);
         let mut scratch = SolveScratch::new();
         let s =
-            DeltaSolver::new(1e-6, SolveBudget::nodes(200_000)).with_escalation(Escalation::full());
+            DeltaSolver::new(1e-6, SolveBudget::nodes(200_000)).with_escalation(Escalation::Full);
         let (out, _, trace) = s.solve_compiled_traced(&b, &compiled, &mut scratch);
         assert_eq!(out, Outcome::Unsat);
         assert!(trace.complete);
@@ -1009,20 +944,12 @@ mod tests {
     #[test]
     fn fingerprint_covers_every_field() {
         let base =
-            DeltaSolver::new(1e-3, SolveBudget::nodes(800)).with_escalation(Escalation::full());
+            DeltaSolver::new(1e-3, SolveBudget::nodes(800)).with_escalation(Escalation::Full);
         type Change = (&'static str, fn(&mut DeltaSolver));
-        let changes: [Change; 11] = [
+        let changes: [Change; 3] = [
             ("delta", |s| s.delta = 2e-3),
             ("max_nodes", |s| s.budget.max_nodes = 801),
             ("max_millis", |s| s.budget.max_millis = 50),
-            ("max_rung", |s| s.escalation.max_rung = 1),
-            ("stall_gain", |s| s.escalation.stall_gain = 0.5),
-            ("newton_sweeps", |s| s.escalation.newton_sweeps = 3),
-            ("shave_frac", |s| s.escalation.shave_frac = 0.125),
-            ("shave_passes", |s| s.escalation.shave_passes = 4),
-            ("depth_cap", |s| s.escalation.depth_cap = 9),
-            ("shave_stride", |s| s.escalation.shave_stride = 2),
-            ("newton_width_cap", |s| s.escalation.newton_width_cap = 0.5),
         ];
         for (field, change) in changes {
             let mut changed = base.clone();
@@ -1032,6 +959,14 @@ mod tests {
                 base.fingerprint(),
                 "{field} must change the fingerprint"
             );
+        }
+        // Every rung keys its own results.
+        let rungs = [Escalation::Off, Escalation::Newton, Escalation::Full]
+            .map(|esc| base.clone().with_escalation(esc).fingerprint());
+        for (i, a) in rungs.iter().enumerate() {
+            for b in &rungs[i + 1..] {
+                assert_ne!(a, b, "rungs {rungs:x?} must differ");
+            }
         }
     }
 

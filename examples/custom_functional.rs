@@ -57,7 +57,6 @@ fn main() {
             split_threshold: 0.3,
             solver: DeltaSolver::new(1e-4, SolveBudget::nodes(50_000)),
             parallel: true,
-            parallel_depth: 3,
             max_depth: 5,
             pair_deadline_ms: Some(10_000),
         })

@@ -30,7 +30,6 @@ fn main() {
         split_threshold: 0.3,
         solver: DeltaSolver::new(1e-3, SolveBudget::millis(100)),
         parallel: true,
-        parallel_depth: 3,
         max_depth: 5,
         pair_deadline_ms: None,
     });

@@ -18,7 +18,6 @@ fn main() {
         split_threshold: 0.7,
         solver: DeltaSolver::new(1e-3, SolveBudget::millis(60)),
         parallel: true,
-        parallel_depth: 3,
         max_depth: 3,
         pair_deadline_ms: Some(30_000),
     });

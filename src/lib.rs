@@ -74,7 +74,6 @@
 //!         split_threshold: 1.25,
 //!         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(20_000)),
 //!         parallel: false,
-//!         parallel_depth: 3,
 //!         max_depth: 4,
 //!         pair_deadline_ms: None,
 //!     })
@@ -171,7 +170,6 @@
 //!         split_threshold: 2.0,
 //!         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(2_000)),
 //!         parallel: false,
-//!         parallel_depth: 0,
 //!         max_depth: 1,
 //!         pair_deadline_ms: None,
 //!     })
@@ -208,7 +206,6 @@
 //!         split_threshold: 1.25,
 //!         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(20_000)),
 //!         parallel: false,
-//!         parallel_depth: 3,
 //!         max_depth: 4,
 //!         pair_deadline_ms: None,
 //!     })

@@ -20,7 +20,6 @@ fn coarse_config(nodes: u64) -> VerifierConfig {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 3,
         pair_deadline_ms: None,
     }
@@ -34,7 +33,6 @@ fn matrix_config() -> VerifierConfig {
         split_threshold: 2.0,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(1_200)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 2,
         pair_deadline_ms: None,
     }

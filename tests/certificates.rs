@@ -28,7 +28,6 @@ fn det_config(nodes: u64, max_depth: u32) -> VerifierConfig {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
         parallel: false,
-        parallel_depth: 3,
         max_depth,
         pair_deadline_ms: None,
     }

@@ -30,7 +30,6 @@ fn verify_recursion_never_compiles() {
         split_threshold: 0.3,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(20_000)),
         parallel: true, // worker threads must inherit the no-compile property
-        parallel_depth: 2,
         max_depth: 5,
         pair_deadline_ms: None,
     });
@@ -57,7 +56,6 @@ fn campaign_compiles_once_per_cell() {
             split_threshold: 1.25,
             solver: DeltaSolver::new(1e-3, SolveBudget::nodes(5_000)),
             parallel: false,
-            parallel_depth: 3,
             max_depth: 3,
             pair_deadline_ms: None,
         })

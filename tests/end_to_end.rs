@@ -9,7 +9,6 @@ fn verifier(nodes: u64, threshold: f64) -> Verifier {
         split_threshold: threshold,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
         parallel: true,
-        parallel_depth: 3,
         max_depth: 5,
         pair_deadline_ms: None,
     })
@@ -140,7 +139,6 @@ fn scan_hard_at_small_budget_but_sound() {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(300)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 2,
         pair_deadline_ms: None,
     });
@@ -154,7 +152,6 @@ fn scan_hard_at_small_budget_but_sound() {
         split_threshold: 5.0,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(0)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 1,
         pair_deadline_ms: None,
     });

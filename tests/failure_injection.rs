@@ -92,7 +92,6 @@ fn verifier_with_tiny_deadline_still_partitions() {
         split_threshold: 0.3,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(500)),
         parallel: true,
-        parallel_depth: 3,
         max_depth: 6,
         pair_deadline_ms: Some(5),
     });
@@ -107,7 +106,6 @@ fn verifier_threshold_larger_than_domain_never_splits() {
         split_threshold: f64::INFINITY,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(100_000)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 0,
         pair_deadline_ms: None,
     });

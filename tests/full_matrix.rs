@@ -10,7 +10,6 @@ fn tiny_verifier() -> Verifier {
         split_threshold: 2.0,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(1_500)),
         parallel: true,
-        parallel_depth: 3,
         max_depth: 2,
         pair_deadline_ms: Some(2_000),
     })

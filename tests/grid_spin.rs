@@ -22,7 +22,6 @@ fn verifier(nodes: u64) -> Verifier {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
         parallel: false,
-        parallel_depth: 0,
         max_depth: 2,
         pair_deadline_ms: None,
     })

@@ -146,7 +146,7 @@ proptest! {
         let b = BoxDomain::from_bounds(&[(-1.5, 1.5), (-1.5, 1.5)]);
         let compiled = xcverifier::solver::CompiledFormula::compile(&formula);
         let mut scratch = xcverifier::solver::SolveScratch::new();
-        match compiled.contract_with_rounds(&b, &mut scratch, compiled.max_rounds()) {
+        match compiled.contract_with_rounds(&b, &mut scratch, xcverifier::solver::HC4_ROUNDS) {
             xcverifier::solver::contract::Contraction::Empty => {
                 prop_assert!(false, "solution box declared empty");
             }

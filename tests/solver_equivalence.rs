@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 use xcv_bench::seed_baseline::seed_solve_with_stats;
 use xcverifier::prelude::*;
 use xcverifier::solver::contract::Contraction;
-use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, TraceEvent};
+use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, TraceEvent, HC4_ROUNDS};
 
 // ---------------------------------------------------------------------------
 // Random formula generation (compact variant of tests/proptests.rs)
@@ -137,7 +137,7 @@ proptest! {
         let newton_formula = Formula::single(Atom::new(e.clone() - e.powi(2) - constant(c), Rel::Ge));
         let plain = DeltaSolver::new(1e-3, SolveBudget::nodes(2_000));
         let newton = DeltaSolver::new(1e-3, SolveBudget::nodes(1_000))
-            .with_escalation(Escalation { max_rung: 1, ..Escalation::full() });
+            .with_escalation(Escalation::Newton);
         // Several boxes against one scratch: reuse must not leak state.
         let boxes = [
             BoxDomain::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]),
@@ -247,7 +247,6 @@ fn pinned_extended_matrix_marks_agree() {
         split_threshold: 1.0,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(600)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 1,
         pair_deadline_ms: None,
     };
@@ -276,7 +275,6 @@ fn deep_recursion_marks_agree_on_cheap_pair() {
         split_threshold: 0.4,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(5_000)),
         parallel: false,
-        parallel_depth: 3,
         max_depth: 4,
         pair_deadline_ms: None,
     };
@@ -315,7 +313,6 @@ fn assert_parallel_matches_sequential(problems: &[EncodedProblem]) {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(250)),
         parallel: false,
-        parallel_depth: 0,
         max_depth: 1,
         pair_deadline_ms: None,
     };
@@ -461,7 +458,6 @@ fn root_constraints(compiled: &CompiledFormula) -> Vec<(usize, Interval)> {
 /// model must be its midpoint. Returns the boxes a split pushes, in order.
 fn replay_node(
     compiled: &CompiledFormula,
-    esc: Escalation,
     popped: &BoxDomain,
     node: &[&TraceEvent],
     what: &str,
@@ -470,8 +466,7 @@ fn replay_node(
 ) -> Result<Vec<BoxDomain>, TestCaseError> {
     let (terminal, mut steps) = node.split_last().expect("a node without events");
     let (tape, atoms) = (compiled.interval_tape(), root_constraints(compiled));
-    let rounds = compiled.max_rounds();
-    let Some(w) = xcverifier::cert::contract(tape, &atoms, rounds, popped.dims(), vals) else {
+    let Some(w) = xcverifier::cert::contract(tape, &atoms, HC4_ROUNDS, popped.dims(), vals) else {
         prop_assert!(
             matches!(node, [TraceEvent::Pruned]),
             "{what} contracts to empty, searched {node:?}"
@@ -480,7 +475,7 @@ fn replay_node(
     };
     let mut cur = BoxDomain::new(w);
     if let [TraceEvent::Newton { contracted }, rest @ ..] = steps {
-        let want = compiled.newton_contract(&cur, esc.newton_sweeps, fresh);
+        let want = compiled.newton_contract(&cur, fresh);
         prop_assert!(
             want.map(|w| bits(w.dims())) == Some(bits(contracted.dims())),
             "Newton step of {what}: {contracted}"
@@ -490,9 +485,7 @@ fn replay_node(
     }
     if !steps.is_empty() {
         let mut want = Vec::new();
-        let shaved = compiled.shave_3b(&cur, fresh, esc.shave_frac, esc.shave_passes, |a, h, s| {
-            want.push(Some((a, h, s.to_bits())))
-        });
+        let shaved = compiled.shave_3b(&cur, fresh, |a, h, s| want.push(Some((a, h, s.to_bits()))));
         let got: Vec<_> = steps
             .iter()
             .map(|e| match e {
@@ -530,9 +523,7 @@ fn replay_node(
         }
         TraceEvent::NewtonPruned => {
             prop_assert!(
-                compiled
-                    .newton_contract(&cur, esc.newton_sweeps, fresh)
-                    .is_none(),
+                compiled.newton_contract(&cur, fresh).is_none(),
                 "Newton prune of {what}"
             );
             Ok(Vec::new())
@@ -561,7 +552,7 @@ proptest! {
         for ((name, compiled, _), b) in differential_inputs().iter().zip(&boxes) {
             let tape = compiled.interval_tape();
             let atoms = root_constraints(compiled);
-            for rounds in 1..=compiled.max_rounds() {
+            for rounds in 1..=HC4_ROUNDS {
                 let what = format!("{name} over {b}, {rounds} round(s)");
                 let got = compiled.contract_with_rounds(b, &mut scratch, rounds);
                 let want = xcverifier::cert::contract(tape, &atoms, rounds, b.dims(), &mut vals);
@@ -594,7 +585,7 @@ proptest! {
         let mut scratch = SolveScratch::new();
         let mut fresh = SolveScratch::new();
         let mut vals = Vec::new();
-        for esc in [Escalation::off(), Escalation::full()] {
+        for esc in [Escalation::Off, Escalation::Full] {
             let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(64)).with_escalation(esc);
             for ((name, compiled, _), b) in differential_inputs().iter().zip(&boxes) {
                 let (_, _, trace) = solver.solve_compiled_traced(b, compiled, &mut scratch);
@@ -606,9 +597,9 @@ proptest! {
                         continue;
                     }
                     let popped = stack.pop().expect("an event without a box");
-                    let what = format!("{name}, ladder rung {}, over {popped}", esc.max_rung);
+                    let what = format!("{name}, ladder {esc:?}, over {popped}");
                     let children =
-                        replay_node(compiled, esc, &popped, &node, &what, &mut fresh, &mut vals)?;
+                        replay_node(compiled, &popped, &node, &what, &mut fresh, &mut vals)?;
                     stack.extend(children);
                     node.clear();
                 }

@@ -6,11 +6,14 @@
 //!   refutes or contracts away a box around it, `shave_3b` never shaves
 //!   it off, and a full-ladder solve never answers `Unsat` on a box
 //!   containing it;
-//! * **dirty-slot passes** (proptest): the partial forward passes the 3B
-//!   shaver probes slabs with (`forward_from`, `forward_masked`), seeded
-//!   with the parent box's slot file, and the image-seeded pass the search
-//!   evaluates every child node with (`forward_from_image`), equal a full
-//!   `forward` bit for bit;
+//! * **dirty-slot passes** (proptest): the partial forward pass the 3B
+//!   shaver probes slabs with (`forward_masked`, along one axis or two),
+//!   seeded with the parent box's slot file, and the image-seeded pass the
+//!   search evaluates every child node with (`forward_from_image`), equal a
+//!   full `forward` bit for bit;
+//! * **what each rung runs**: on a pinned pair, `Escalation::Off` records
+//!   no ladder step, `Newton` records Newton steps and no shave, and
+//!   `Full` records shaves;
 //! * **session reuse** (proptest): a solve, ladder off or on, on a
 //!   scratch that another formula already used — an independent one, and
 //!   a larger one, their slot files and per-depth forward images left
@@ -28,7 +31,7 @@
 use proptest::prelude::*;
 use xcverifier::expr::IntervalTape;
 use xcverifier::prelude::*;
-use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, SolveStats};
+use xcverifier::solver::{CompiledFormula, Escalation, SolveScratch, SolveStats, TraceEvent};
 
 // ---------------------------------------------------------------------------
 // Random expressions
@@ -188,7 +191,7 @@ proptest! {
         // that `point` satisfies every atom exactly.
         prop_assume!(compiled.holds_at_certified(&point, &mut scratch));
         // Rung 1 must neither refute the box nor contract the point away.
-        let contracted = compiled.newton_contract(&b, 2, &mut scratch);
+        let contracted = compiled.newton_contract(&b, &mut scratch);
         prop_assert!(
             contracted.is_some(),
             "Newton refuted a box with a certified solution"
@@ -198,12 +201,12 @@ proptest! {
             "Newton contracted a certified solution away"
         );
         // Rung 2 must not shave the point off any face.
-        if let Some(shaved) = compiled.shave_3b(&b, &mut scratch, 0.125, 2, |_, _, _| {}) {
+        if let Some(shaved) = compiled.shave_3b(&b, &mut scratch, |_, _, _| {}) {
             prop_assert!(contains(&shaved, &point), "3B shaved a certified solution off");
         }
         // The assembled ladder: never Unsat over a certified solution.
         let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(400))
-            .with_escalation(Escalation::full());
+            .with_escalation(Escalation::Full);
         let (outcome, _) = solver.solve_compiled_with_stats(&b, &compiled, &mut scratch);
         prop_assert!(
             !matches!(outcome, Outcome::Unsat),
@@ -213,12 +216,12 @@ proptest! {
     }
 
     /// The dirty-slot passes: a box that differs from its parent along one
-    /// axis (`forward_from`) or two (`forward_masked`), re-evaluated over
-    /// the parent's slot file, gets exactly the slot values of a full
-    /// forward pass, bit for bit. So does the search's image-seeded pass
-    /// (`forward_from_image`), for a child that differs from the parent on
-    /// any subset of axes; bounds compare by bits there, so a pass that
-    /// took −0.0 for +0.0 would keep a slot whose sign of zero changed.
+    /// axis or two (`forward_masked`), re-evaluated over the parent's slot
+    /// file, gets exactly the slot values of a full forward pass, bit for
+    /// bit. So does the search's image-seeded pass (`forward_from_image`),
+    /// for a child that differs from the parent on any subset of axes;
+    /// bounds compare by bits there, so a pass that took −0.0 for +0.0
+    /// would keep a slot whose sign of zero changed.
     #[test]
     fn dirty_forward_passes_match_full_forward(
         recipe in recipe_strategy(),
@@ -247,9 +250,9 @@ proptest! {
         let mut full = tape.scratch();
 
         let mut dirty = parent_vals.clone();
-        tape.forward_from(axes.0, &one, &mut dirty);
+        tape.forward_masked(1 << axes.0, &one, &mut dirty);
         tape.forward(&one, &mut full);
-        prop_assert!(bits(&dirty) == bits(&full), "forward_from along {}", axes.0);
+        prop_assert!(bits(&dirty) == bits(&full), "forward_masked along {}", axes.0);
 
         let mut dirty = parent_vals.clone();
         tape.forward_masked((1 << axes.0) | (1 << axes.1), &two, &mut dirty);
@@ -300,7 +303,7 @@ proptest! {
             BoxDomain::from_bounds(&[(0.0, 0.5), (-1.0, 0.0), (0.2, 0.9)]),
         ];
         let mut reused = SolveScratch::new();
-        for escalation in [Escalation::off(), Escalation::full()] {
+        for escalation in [Escalation::Off, Escalation::Full] {
             let solver =
                 DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)).with_escalation(escalation);
             for b in &boxes {
@@ -310,8 +313,7 @@ proptest! {
                     solver.solve_compiled_traced(b, decoy, &mut reused);
                     let (got, got_stats, got_trace) =
                         solver.solve_compiled_traced(b, &compiled, &mut reused);
-                    let what =
-                        format!("after the {kind} decoy over {b}, ladder rung {}", escalation.max_rung);
+                    let what = format!("after the {kind} decoy over {b}, ladder {escalation:?}");
                     prop_assert_eq!(&want, &got, "reused scratch diverged {}", what);
                     prop_assert_eq!(
                         stats_key(&want_stats),
@@ -327,6 +329,46 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// What each rung runs
+// ---------------------------------------------------------------------------
+
+/// Each rung runs exactly its contractors: on LYP / Uc monotonicity's four
+/// depth-1 boxes at 200 nodes, the ladder off records no Newton step and
+/// no shave, the Newton rung records Newton steps (98) and no shave, and
+/// the full ladder records shaves (206). A rung that ran the shaver under
+/// `Newton`, or nothing under `Full`, fails here.
+#[test]
+fn each_rung_runs_its_own_contractors() {
+    let p = Encoder::encode(Dfa::Lyp, Condition::UcMonotonicity).unwrap();
+    let boxes = p.domain.split_all();
+    assert_eq!(boxes.len(), 4);
+    let ladder_steps = |escalation: Escalation| {
+        let solver = DeltaSolver::new(1e-3, SolveBudget::nodes(200)).with_escalation(escalation);
+        let mut scratch = SolveScratch::new();
+        let (mut newton, mut shave) = (0, 0);
+        for b in &boxes {
+            let (_, _, trace) = solver.solve_compiled_traced(b, p.compiled(), &mut scratch);
+            for e in &trace.events {
+                match e {
+                    TraceEvent::Newton { .. } | TraceEvent::NewtonPruned => newton += 1,
+                    TraceEvent::Shave { .. } => shave += 1,
+                    _ => {}
+                }
+            }
+        }
+        (newton, shave)
+    };
+    assert_eq!(ladder_steps(Escalation::Off), (0, 0));
+    let (newton, shave) = ladder_steps(Escalation::Newton);
+    assert!(
+        newton > 0 && shave == 0,
+        "Newton rung: {newton} Newton steps, {shave} shaves"
+    );
+    let (_, shave) = ladder_steps(Escalation::Full);
+    assert!(shave > 0, "full ladder: no shave");
+}
+
+// ---------------------------------------------------------------------------
 // Pinned matrices: marks unchanged-or-strictly-better under the ladder
 // ---------------------------------------------------------------------------
 
@@ -337,7 +379,6 @@ fn quick_config(escalation: Escalation) -> VerifierConfig {
         split_threshold: 1.25,
         solver,
         parallel: false,
-        parallel_depth: 0,
         max_depth: 1,
         pair_deadline_ms: None,
     }
@@ -358,8 +399,8 @@ fn mark_monotone(before: TableMark, after: TableMark) -> bool {
 
 fn assert_matrix_monotone(problems: &[EncodedProblem]) {
     for p in problems {
-        let (plain, _) = Verifier::new(quick_config(Escalation::off())).verify_with_stats(p);
-        let (ladder, _) = Verifier::new(quick_config(Escalation::full())).verify_with_stats(p);
+        let (plain, _) = Verifier::new(quick_config(Escalation::Off)).verify_with_stats(p);
+        let (ladder, _) = Verifier::new(quick_config(Escalation::Full)).verify_with_stats(p);
         assert!(
             mark_monotone(plain.table_mark(), ladder.table_mark()),
             "ladder regressed {} / {}: {:?} -> {:?}",
@@ -397,9 +438,8 @@ fn ladder_campaign_certificates_replay() {
         split_threshold: 1.25,
         // A deliberately tight budget so some boxes time out at rung 0 and
         // the certificates exercise the retry path's Newton/3B steps.
-        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(600)).with_escalation(Escalation::full()),
+        solver: DeltaSolver::new(1e-3, SolveBudget::nodes(600)).with_escalation(Escalation::Full),
         parallel: false,
-        parallel_depth: 0,
         max_depth: 3,
         pair_deadline_ms: None,
     };

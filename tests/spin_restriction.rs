@@ -139,7 +139,6 @@ fn axis_refactor_adds_no_lowerings_per_cell() {
         split_threshold: 1.25,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(300)),
         parallel: false,
-        parallel_depth: 0,
         max_depth: 2,
         pair_deadline_ms: None,
     };
